@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 import threading
 from pathlib import Path
@@ -275,9 +276,30 @@ _serve_stops: list[threading.Event] = []
 def stop_serving() -> None:
     """Stop every running ``damocles serve`` loop in this process
     without waiting out ``--serve-seconds`` (used by tests and
-    embedders; Ctrl-C works too)."""
+    embedders; Ctrl-C and SIGTERM work too)."""
     for event in list(_serve_stops):
         event.set()
+
+
+def _stop_on_signals(stop: threading.Event) -> dict:
+    """Make SIGTERM and SIGINT set *stop*, so either one ends the serve
+    loop through its shutdown save, whatever the handlers were at
+    launch (a shell may start a background job with SIGINT ignored).
+    Only the main thread may install handlers; elsewhere this is a
+    no-op.  Returns the previous handlers for :func:`_restore_signals`.
+    """
+    if threading.current_thread() is not threading.main_thread():
+        return {}
+    return {
+        signum: signal.signal(signum, lambda *_: stop.set())
+        for signum in (signal.SIGTERM, signal.SIGINT)
+    }
+
+
+def _restore_signals(previous: dict) -> None:
+    for signum, handler in previous.items():
+        # None: the handler was not installed from Python.
+        signal.signal(signum, signal.SIG_DFL if handler is None else handler)
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -425,22 +447,24 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 f"past seq {db.wal_seq}{torn}",
                 flush=True,
             )
-    server.start()
-    print(
-        f"damocles: serving {blueprint.name!r} "
-        f"({db.object_count} objects) on {server.host}:{server.port}",
-        flush=True,
-    )
-    print(
-        "commands: postEvent | batch | query OID | stale | pending | "
-        "status | health | policy ... | audit | subscribe | ping | quit",
-        flush=True,
-    )
+    # Handlers go in before the port opens: a client that can reach
+    # the server can also signal it, and the signal must find them.
+    previous_handlers = _stop_on_signals(stop)
     try:
+        server.start()
+        print(
+            f"damocles: serving {blueprint.name!r} "
+            f"({db.object_count} objects) on {server.host}:{server.port}",
+            flush=True,
+        )
+        print(
+            "commands: postEvent | batch | query OID | stale | pending | "
+            "status | health | policy ... | audit | subscribe | ping | quit",
+            flush=True,
+        )
         stop.wait(args.serve_seconds)  # None waits until set
-    except KeyboardInterrupt:
-        pass
     finally:
+        _restore_signals(previous_handlers)
         _serve_stops.remove(stop)
         server.stop()
     exit_code = 0

@@ -3,14 +3,20 @@ and two localhost TCP project servers (Figure 1's network path) — the
 threaded line-dialect original and the asyncio server that multiplexes
 length-prefixed frames (with the line dialect auto-detected as a compat
 shim on the same port) — plus stale-set push notifications with
-credit-based backpressure for subscribed connections."""
+credit-based backpressure for subscribed connections.
+
+Every wire command is described once, in :data:`COMMANDS`; the parsers
+and renderers of both dialects, the servers' lock sets and
+:class:`BlueprintClient` read that table.  The client runs every call
+through one connection core over a :class:`LineChannel` or a
+:class:`FrameChannel`, and :class:`Subscription` reads the push stream
+of either dialect."""
 
 from repro.network.async_server import AsyncProjectServer
 from repro.network.bus import EventBus
 from repro.network.client import (
     BlueprintClient,
     ClientError,
-    FramedSubscription,
     Notification,
     Subscription,
     post_event_main,
@@ -23,6 +29,7 @@ from repro.network.framing import (
     MAX_FRAME,
     FrameChannel,
     FrameDecoder,
+    LineChannel,
     FramingError,
     command_to_request,
     encode_frame,
@@ -30,12 +37,15 @@ from repro.network.framing import (
     request_to_command,
 )
 from repro.network.protocol import (
+    COMMANDS,
     LOCK_EXCLUSIVE,
     LOCK_SHARED,
     Command,
+    CommandSpec,
     ProtocolError,
     err_response,
     format_batch,
+    format_command,
     format_notification,
     format_pending_response,
     format_post_event,
@@ -64,12 +74,12 @@ __all__ = [
     "AsyncProjectServer",
     "BlueprintClient",
     "ClientError",
-    "FramedSubscription",
     "Notification",
     "Subscription",
     "post_event_main",
     "FrameChannel",
     "FrameDecoder",
+    "LineChannel",
     "FramingError",
     "FRAME_MAGIC",
     "FRAME_VERSION",
@@ -80,7 +90,9 @@ __all__ = [
     "is_frame_byte",
     "command_to_request",
     "request_to_command",
+    "COMMANDS",
     "Command",
+    "CommandSpec",
     "ProtocolError",
     "LOCK_EXCLUSIVE",
     "LOCK_SHARED",
@@ -89,6 +101,7 @@ __all__ = [
     "format_batch",
     "parse_batch",
     "parse_command",
+    "format_command",
     "ok_response",
     "err_response",
     "format_query_response",

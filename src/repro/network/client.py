@@ -12,55 +12,61 @@ atomic FIFO window, and ``subscribe()`` opens a persistent connection
 that yields ``STALE`` / ``FRESH`` push notifications as the engine
 re-buckets objects.
 
+Every command method builds a :class:`~repro.network.protocol.Command`
+and hands it to one connection core; the command table
+(:data:`~repro.network.protocol.COMMANDS`) supplies its wire rendering,
+whether it may be retried, and the parser of its ``OK`` body.  The core
+takes the dialect from ``transport``: ``"lines"`` (the default, the
+paper's line dialect) or ``"frames"`` (the length-prefixed dialect of
+:mod:`repro.network.framing`, whose responses carry the same
+``OK``/``ERR`` bodies).  A one-shot call opens a connection, exchanges
+and closes; a persistent client reuses its pinned connection.
+
 Self-healing (the resilience layer that pairs with the server's
 write-ahead journal):
 
 * connect and read timeouts are separate knobs, so a hung server is
   distinguishable from a slow one;
-* with a :class:`RetryPolicy`, *idempotent* commands (``query`` /
-  ``stale`` / ``pending`` / ``status`` / ``health`` / ``ping``) retry
-  transport failures with bounded exponential backoff plus jitter;
+* with a :class:`RetryPolicy`, commands the table marks retryable
+  (``query`` / ``stale`` / ``pending`` / ``status`` / ``health`` /
+  ``ping`` / ``policy status`` / ``audit``) retry transport failures
+  with bounded exponential backoff plus jitter;
 * ``ERR busy`` (the server's explicit backpressure rejection) is retried
   for **every** command, posts included — a busy rejection guarantees
   the event was not admitted, so resending cannot double-apply it;
-* a persistent client whose pinned connection died *between* round
-  trips (server restarted) transparently reconnects once and resends —
-  the stale-socket rule, applied regardless of idempotency, because the
-  previous round trip completed and this request never reached a live
-  server;
+* a persistent client whose pinned connection died *between* calls
+  (server restarted) transparently reconnects once and resends — the
+  stale-socket rule, applied regardless of idempotency, because the
+  previous call completed and nothing of this one was answered;
 * a subscription opened with ``auto_resync=True`` survives server
   bounces and slow-subscriber kicks: on EOF it reconnects (with
   backoff), pulls the server's ``stale`` snapshot, and synthesises the
   ``STALE`` / ``FRESH`` notifications that bring its tracked view — and
   therefore any mirror built from it — back in step.
 
-What is *never* retried: a ``postEvent`` / ``batch`` that failed after
-reaching a live server (other than ``ERR busy``) — the client cannot
-know whether the wave ran, and the journal may have made it durable.
-See ARCHITECTURE.md's retry matrix.
+What is *never* retried: a ``postEvent`` / ``batch`` / policy write that
+failed after reaching a live server (other than ``ERR busy``) — the
+client cannot know whether it ran, and the journal may have made it
+durable.  See ARCHITECTURE.md's retry matrix.
 
-Transports: the default ``transport="lines"`` speaks the paper's line
-dialect.  ``transport="frames"`` speaks the length-prefixed framed
-dialect of :mod:`repro.network.framing` against the async server — the
-sync API, error taxonomy, and the entire retry matrix are unchanged
-(framed responses carry the same ``OK``/``ERR`` bodies), but the
-connection multiplexes: :meth:`BlueprintClient.post_many` keeps a
-window of posts in flight so a burst pays one round trip per *window*
-instead of one per event, and a framed subscription is never kicked
-for being slow — the server coalesces its backlog instead
-(:class:`Notification.coalesced` marks catch-up deltas).
+On the frames transport the connection multiplexes:
+:meth:`BlueprintClient.post_many` keeps a window of posts in flight so a
+burst pays one round trip per *window* instead of one per event, and a
+framed subscription is never kicked for being slow — the server
+coalesces its backlog instead (:class:`Notification.coalesced` marks
+catch-up deltas).
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
-import select
 import socket
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from repro.core.events import EventMessage
 from repro.metadb.links import Direction
@@ -70,24 +76,22 @@ from repro.network.framing import (
     CREDIT_RESUME,
     FrameChannel,
     FramingError,
+    LineChannel,
     command_to_request,
-    event_to_payload,
 )
 from repro.network.protocol import (
+    COMMANDS,
     OVERLOAD_LINE,
+    Command,
     ProtocolError,
-    format_batch,
-    format_policy_propose,
-    format_post_event,
-    parse_audit_response,
+    format_command,
     parse_busy,
     parse_command,
     parse_notification,
-    parse_pending_response,
-    parse_query_response,
-    parse_stale_response,
-    parse_status_response,
 )
+
+Channel = LineChannel | FrameChannel
+T = TypeVar("T")
 
 
 class ClientError(RuntimeError):
@@ -172,177 +176,30 @@ class Subscription:
         with client.subscribe() as sub:
             note = sub.next(timeout=5.0)
 
+    The channel's dialect decides how the stream ends badly.  The line
+    server drops a subscriber that falls too far behind, announcing it
+    with :data:`~repro.network.protocol.OVERLOAD_LINE`.  The framed
+    server never does: it sends a ``PAUSE`` credit (visible as
+    :attr:`paused`), collapses the backlog to one latest-state delta per
+    OID, replays them with ``coalesced=True`` once the socket drains,
+    and ends with ``RESUME``.  :meth:`pause` / :meth:`resume` send the
+    same credits client-side (frames only).
+
     With *resubscribe* / *resync* callables attached (see
-    ``BlueprintClient.subscribe(auto_resync=True)``), an EOF triggers
-    reconnect-and-reconcile instead of an error: the subscription
-    tracks the set of OIDs it has reported stale (``view``), fetches
-    the server's stale snapshot after reconnecting, and emits synthetic
-    notifications for the difference — so a digital-twin mirror driven
-    by this stream converges to the true state even across a gap.
+    ``BlueprintClient.subscribe(auto_resync=True)``), an EOF or an
+    overload kick triggers reconnect-and-reconcile instead of an error:
+    the subscription tracks the set of OIDs it has reported stale
+    (``view``), fetches the server's stale snapshot after reconnecting,
+    and emits synthetic notifications for the difference — so a
+    digital-twin mirror driven by this stream converges to the true
+    state even across a gap.
     """
 
     def __init__(
         self,
-        conn: socket.socket,
+        channel: Channel,
         *,
-        resubscribe: Callable[[], socket.socket] | None = None,
-        resync: Callable[[], list[OID]] | None = None,
-        retry: RetryPolicy | None = None,
-    ) -> None:
-        self._conn = conn
-        self._buffer = bytearray()
-        self._closed = False
-        self._resubscribe = resubscribe
-        self._resync = resync
-        self._retry = retry or RetryPolicy(attempts=8)
-        self.view: set[OID] = set()
-        self._synthetic: deque[Notification] = deque()
-        self.resyncs = 0
-
-    def _readline(self, timeout: float | None) -> str:
-        """Read one newline-terminated line, honouring *timeout*.
-
-        Bytes accumulate in a buffer owned by this object: a timeout
-        firing mid-line keeps the partial line for the next call,
-        whereas a buffered socket file is left in an undefined state
-        after a timeout and silently drops what it already consumed.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            newline = self._buffer.find(b"\n")
-            if newline >= 0:
-                raw = bytes(self._buffer[:newline])
-                del self._buffer[: newline + 1]
-                return raw.decode("utf-8", errors="replace")
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or not select.select(
-                    [self._conn], [], [], remaining
-                )[0]:
-                    raise ClientError("no notification: timed out")
-            try:
-                chunk = self._conn.recv(4096)
-            except OSError as exc:
-                raise SubscriptionClosed(f"no notification: {exc}") from exc
-            if not chunk:
-                raise SubscriptionClosed("subscription closed by server")
-            self._buffer.extend(chunk)
-
-    def next(self, timeout: float | None = None) -> Notification:
-        """Block until the next notification.
-
-        Raises :class:`ClientError` on timeout; :class:`SubscriptionClosed`
-        on EOF unless resubscribe-with-resync is attached, in which case
-        the gap is healed transparently (synthetic notifications first).
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            if self._synthetic:
-                return self._track(self._synthetic.popleft())
-            remaining = (
-                None if deadline is None else max(0.0, deadline - time.monotonic())
-            )
-            try:
-                line = self._readline(remaining).strip()
-            except SubscriptionClosed:
-                if self._resubscribe is None or self._closed:
-                    raise
-                self._recover()
-                continue
-            if line == OVERLOAD_LINE:
-                # The server's slow-subscriber kick, announced before
-                # the close: recoverable exactly like the EOF it
-                # precedes (resync heals the dropped notifications).
-                if self._resubscribe is None or self._closed:
-                    raise SubscriptionClosed(line)
-                self._recover()
-                continue
-            try:
-                verb, oid = parse_notification(line)
-            except ProtocolError as exc:
-                raise ClientError(str(exc)) from exc
-            return self._track(Notification(verb, oid))
-
-    def _track(self, note: Notification) -> Notification:
-        if note.is_stale:
-            self.view.add(note.oid)
-        else:
-            self.view.discard(note.oid)
-        return note
-
-    def _recover(self) -> None:
-        """Reconnect (with backoff) and reconcile the tracked view."""
-        try:
-            self._conn.close()
-        except OSError:
-            pass
-        self._buffer.clear()
-        attempt = 0
-        while True:
-            try:
-                self._conn = self._resubscribe()
-                break
-            except ClientError:
-                attempt += 1
-                if attempt >= self._retry.attempts:
-                    raise SubscriptionClosed(
-                        f"resubscribe failed after {attempt} attempts"
-                    ) from None
-                time.sleep(self._retry.delay(attempt - 1))
-        self.resyncs += 1
-        if self._resync is None:
-            return
-        snapshot = set(self._resync())
-        # Everything that went stale during the gap (or whose STALE line
-        # we lost) first, then everything that went fresh; inside each
-        # group, deterministic OID order.
-        for oid in sorted(snapshot - self.view, key=OID.sort_key):
-            self._synthetic.append(Notification("STALE", oid))
-        for oid in sorted(self.view - snapshot, key=OID.sort_key):
-            self._synthetic.append(Notification("FRESH", oid))
-
-    def __iter__(self) -> Iterator[Notification]:
-        while True:
-            try:
-                yield self.next(timeout=None)
-            except ClientError:
-                return
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._conn.close()
-
-    def __enter__(self) -> "Subscription":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-class FramedSubscription:
-    """The push stream over the framed transport.
-
-    Same surface as :class:`Subscription` (``next(timeout)``,
-    iteration, tracked ``view``, optional auto-resync), different
-    contract underneath: the framed server never disconnects a slow
-    subscriber.  When this client falls behind, the server sends a
-    ``PAUSE`` credit frame (visible as :attr:`paused`), collapses the
-    backlog to one latest-state delta per OID, and replays them with
-    ``coalesced=True`` once the socket drains, ending with ``RESUME``.
-    Every stale/fresh transition is therefore eventually observed —
-    possibly coalesced — and the tracked view always converges.
-    :meth:`pause` / :meth:`resume` send the same credits client-side to
-    explicitly gate the stream (pausing around an expensive rebuild,
-    say).
-    """
-
-    def __init__(
-        self,
-        channel: FrameChannel,
-        *,
-        resubscribe: Callable[[], FrameChannel] | None = None,
+        resubscribe: Callable[[], Channel] | None = None,
         resync: Callable[[], list[OID]] | None = None,
         retry: RetryPolicy | None = None,
     ) -> None:
@@ -358,32 +215,14 @@ class FramedSubscription:
         #: arriving now are coalesced replay, not the live stream.
         self.paused = False
 
-    def _read_frame(self, timeout: float | None) -> dict:
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            frame = self._channel.recv_buffered()
-            if frame is not None:
-                return frame
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or not select.select(
-                    [self._channel.conn], [], [], remaining
-                )[0]:
-                    raise ClientError("no notification: timed out")
-            try:
-                chunk = self._channel.conn.recv(65536)
-            except OSError as exc:
-                raise SubscriptionClosed(f"no notification: {exc}") from exc
-            if not chunk:
-                raise SubscriptionClosed("subscription closed by server")
-            try:
-                self._channel.feed(chunk)
-            except FramingError as exc:
-                raise SubscriptionClosed(f"push stream corrupt: {exc}") from exc
-
     def next(self, timeout: float | None = None) -> Notification:
-        """Block until the next notification (credit frames are
-        absorbed into :attr:`paused` rather than surfaced)."""
+        """Block until the next notification.
+
+        Raises :class:`ClientError` on timeout; :class:`SubscriptionClosed`
+        when the stream ends, unless resubscribe-with-resync is attached,
+        in which case the gap is healed transparently (synthetic
+        notifications first).
+        """
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             if self._synthetic:
@@ -392,26 +231,40 @@ class FramedSubscription:
                 None if deadline is None else max(0.0, deadline - time.monotonic())
             )
             try:
-                payload = self._read_frame(remaining)
-            except SubscriptionClosed:
+                note = self._push(self._channel.recv(remaining))
+            except socket.timeout:
+                raise ClientError("no notification: timed out") from None
+            except (OSError, FramingError) as exc:
                 if self._resubscribe is None or self._closed:
-                    raise
+                    raise SubscriptionClosed(f"push stream ended: {exc}") from exc
                 self._recover()
                 continue
-            credit = payload.get("credit")
+            if note is not None:
+                return self._track(note)
+
+    def _push(self, message: str | dict) -> Notification | None:
+        """Decode one stream message: a line, or a frame whose credits
+        update :attr:`paused`.  None for messages that carry no push."""
+        if isinstance(message, str):
+            if message == OVERLOAD_LINE:
+                # The line server's slow-subscriber kick, announced
+                # before the close: the stream ends here, recoverably
+                # (resync heals the dropped notifications).
+                raise ConnectionResetError(message)
+            line, coalesced = message, False
+        else:
+            credit = message.get("credit")
             if credit is not None:
                 self.paused = credit == CREDIT_PAUSE
-                continue
-            push = payload.get("push")
-            if push is None:
-                continue  # stray response frame on a dedicated socket
-            try:
-                verb, oid = parse_notification(push)
-            except ProtocolError as exc:
-                raise ClientError(str(exc)) from exc
-            return self._track(
-                Notification(verb, oid, bool(payload.get("coalesced")))
-            )
+                return None
+            line, coalesced = message.get("push"), bool(message.get("coalesced"))
+            if line is None:
+                return None  # a stray response frame on a dedicated socket
+        try:
+            verb, oid = parse_notification(line)
+        except ProtocolError as exc:
+            raise ClientError(str(exc)) from exc
+        return Notification(verb, oid, coalesced)
 
     def _track(self, note: Notification) -> Notification:
         if note.is_stale:
@@ -422,11 +275,16 @@ class FramedSubscription:
 
     def pause(self) -> None:
         """Ask the server to coalesce this stream until :meth:`resume`."""
-        self._channel.send({"credit": CREDIT_PAUSE})
+        self._credit(CREDIT_PAUSE)
 
     def resume(self) -> None:
         """Lift a client-requested pause; the coalesced backlog replays."""
-        self._channel.send({"credit": CREDIT_RESUME})
+        self._credit(CREDIT_RESUME)
+
+    def _credit(self, verb: str) -> None:
+        if not isinstance(self._channel, FrameChannel):
+            raise ClientError("credits need the frames transport")
+        self._channel.send({"credit": verb})
 
     def _recover(self) -> None:
         """Reconnect (with backoff) and reconcile the tracked view."""
@@ -448,6 +306,9 @@ class FramedSubscription:
         if self._resync is None:
             return
         snapshot = set(self._resync())
+        # Everything that went stale during the gap (or whose STALE we
+        # lost) first, then everything that went fresh; inside each
+        # group, deterministic OID order.
         for oid in sorted(snapshot - self.view, key=OID.sort_key):
             self._synthetic.append(Notification("STALE", oid, True))
         for oid in sorted(self.view - snapshot, key=OID.sort_key):
@@ -466,16 +327,40 @@ class FramedSubscription:
         self._closed = True
         self._channel.close()
 
-    def __enter__(self) -> "FramedSubscription":
+    def __enter__(self) -> "Subscription":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
 
+def _answer(message: str | dict, request_id: int) -> str | None:
+    """The response line *message* carries for *request_id*, or None
+    (a push, a credit, another request's response)."""
+    if isinstance(message, str):
+        return message
+    if "error" in message:
+        # The server found our stream unrecoverable and is closing;
+        # not a transport flake, so not retryable.
+        raise ClientError(f"server: {message['error']}")
+    if message.get("id") == request_id and "response" in message:
+        return str(message["response"])
+    return None
+
+
+def _ask(channel: Channel, message: str | dict, request_id: int) -> str:
+    """Send one rendered request and wait for its response line."""
+    channel.send(message)
+    while (response := _answer(channel.recv(), request_id)) is None:
+        pass
+    if not response:
+        raise OSError("empty response from project server")
+    return response
+
+
 @dataclass
 class BlueprintClient:
-    """A small line-protocol client.
+    """A small project-server client.
 
     By default every call opens a one-shot connection: wrapper scripts
     stay trivial (no connection state to manage) at a negligible cost
@@ -506,50 +391,34 @@ class BlueprintClient:
     def __post_init__(self) -> None:
         if self.transport not in ("lines", "frames"):
             raise ValueError(f"unknown transport {self.transport!r}")
-        self._conn: socket.socket | None = None
-        self._file = None
-        self._pinned_used = False
-        self._channel: FrameChannel | None = None
+        self._pinned: Channel | None = None
         self._request_seq = 0
 
     @property
-    def _connect_timeout(self) -> float:
-        return self.connect_timeout if self.connect_timeout is not None else self.timeout
+    def _conn(self) -> socket.socket | None:
+        """The pinned socket of a persistent client, while one is open."""
+        return None if self._pinned is None else self._pinned.conn
 
-    @property
-    def _read_timeout(self) -> float:
-        return self.read_timeout if self.read_timeout is not None else self.timeout
-
-    def _connect(self) -> socket.socket:
+    def _open(self) -> Channel:
+        connect_timeout = (
+            self.timeout if self.connect_timeout is None else self.connect_timeout
+        )
         try:
             conn = socket.create_connection(
-                (self.host, self.port), timeout=self._connect_timeout
+                (self.host, self.port), timeout=connect_timeout
             )
         except OSError as exc:
             raise TransportError(
                 f"cannot reach project server at {self.host}:{self.port}: {exc}"
             ) from exc
-        conn.settimeout(self._read_timeout)
-        return conn
+        conn.settimeout(self.timeout if self.read_timeout is None else self.read_timeout)
+        return FrameChannel(conn) if self.transport == "frames" else LineChannel(conn)
 
     def close(self) -> None:
         """Drop the pinned connection (no-op for one-shot clients)."""
-        if self._channel is not None:
-            self._channel.close()
-            self._channel = None
-        if self._file is not None:
-            try:
-                self._file.close()
-            except OSError:
-                pass
-            self._file = None
-        if self._conn is not None:
-            try:
-                self._conn.close()
-            except OSError:
-                pass
-            self._conn = None
-        self._pinned_used = False
+        if self._pinned is not None:
+            self._pinned.close()
+            self._pinned = None
 
     def __enter__(self) -> "BlueprintClient":
         return self
@@ -557,176 +426,107 @@ class BlueprintClient:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    # -- transport ------------------------------------------------------------
+    # -- the connection core ---------------------------------------------------
 
-    def _roundtrip(self, line: str) -> str:
-        if self.transport == "frames":
-            return self._roundtrip_frames(line)
-        if self.persistent:
-            return self._roundtrip_persistent(line)
-        with self._connect() as conn:
-            try:
-                conn.sendall((line + "\n").encode("utf-8"))
-                file = conn.makefile("r", encoding="utf-8")
-                response = file.readline().strip()
-            except OSError as exc:
-                raise TransportError(
-                    f"project server at {self.host}:{self.port} dropped: {exc}"
-                ) from exc
-        if not response:
-            raise TransportError("empty response from project server")
-        return response
-
-    def _roundtrip_persistent(self, line: str) -> str:
-        """One round trip on the pinned connection.
-
-        A pinned socket that already served a round trip can die
-        between calls — typically because the server restarted.  That
-        failure mode is detected here (error on a *reused* socket) and
-        healed with exactly one reconnect-and-resend, for any command:
-        the previous round trip completed, so this request was never
-        processed by a live server.  A fresh connection that fails gets
-        no such retry — the server is actually unreachable or dropped
-        this very request mid-flight.
-        """
-        for attempt in (0, 1):
-            reused = self._conn is not None and self._pinned_used
-            if self._conn is None:
-                self._conn = self._connect()
-                self._file = self._conn.makefile("r", encoding="utf-8")
-                self._pinned_used = False
-            try:
-                self._conn.sendall((line + "\n").encode("utf-8"))
-                response = self._file.readline().strip()
-                if not response:
-                    raise OSError("server closed the connection")
-            except OSError as exc:
-                self.close()
-                if reused and attempt == 0:
-                    continue  # stale pinned socket: reconnect once
-                raise TransportError(
-                    f"project server at {self.host}:{self.port} dropped: {exc}"
-                ) from exc
-            self._pinned_used = True
-            return response
-        raise TransportError("unreachable")  # pragma: no cover
-
-    # -- framed transport ------------------------------------------------------
-
-    def _take_request_id(self) -> int:
+    def _next_id(self) -> int:
         self._request_seq += 1
         return self._request_seq
 
-    def _open_channel(self) -> FrameChannel:
-        return FrameChannel(self._connect())
-
-    def _exchange(self, channel: FrameChannel, request: dict) -> str:
-        """One tagged round trip: send, then wait for the matching id.
-
-        Push/credit frames that arrive interleaved (a subscribed
-        connection) are skipped — the dedicated subscription socket is
-        the supported way to consume them, but a stray frame must not
-        desynchronise the request stream.
-        """
-        channel.send(request)
-        while True:
-            payload = channel.recv()
-            if "error" in payload:
-                # The server found our stream unrecoverable and is
-                # closing; not a transport flake, so not retryable.
-                raise ClientError(f"server: {payload['error']}")
-            if payload.get("id") == request["id"] and "response" in payload:
-                response = str(payload["response"])
-                if not response:
-                    raise OSError("empty response from project server")
-                return response
-
-    def _roundtrip_frames(self, line: str) -> str:
-        """The line-dialect request, carried over the framed transport.
-
-        The line is parsed back to a :class:`Command` and re-rendered as
-        a framed request; the response body is the same ``OK``/``ERR``
-        line either transport answers, so everything above this method
-        (retry matrix, busy handling, parsers) is transport-blind.
-        Persistent clients keep the stale-pinned-socket heal-once rule.
-        """
+    def _render(self, command: Command, request_id: int) -> str | dict:
+        """*command* as this transport's request message."""
+        line = format_command(command)
+        if self.transport == "lines":
+            return line
+        # Frames carry what the line would: the same newline flattening
+        # and the same validation on both transports.
         try:
-            request = command_to_request(
-                parse_command(line), self._take_request_id()
-            )
+            return command_to_request(parse_command(line), request_id)
         except ProtocolError as exc:
             raise ClientError(str(exc)) from exc
-        if not self.persistent:
-            channel = self._open_channel()
+
+    def _roundtrip(self, exchange: Callable[[Channel], T]) -> T:
+        """Run *exchange* on a connection: a fresh one for a one-shot
+        client (closed afterwards), the pinned one for a persistent
+        client.  Socket failures surface as :class:`TransportError`.
+
+        The heal-once rule: a pinned connection that served an earlier
+        call can die between calls — typically because the server
+        restarted.  When it fails before anything of this call was
+        answered, it is replaced and *exchange* runs once more, for any
+        command: the previous call completed, so this one never reached
+        a live server.  A fresh connection that fails gets no such
+        retry — the server is actually unreachable or dropped this very
+        request mid-flight.
+        """
+        for attempt in (0, 1):
+            reused = self._pinned is not None
+            channel = self._pinned if reused else self._open()
+            self._pinned = None  # pinned again only after a clean exchange
+            answered = channel.received
             try:
-                return self._exchange(channel, request)
-            except (OSError, ConnectionError) as exc:
+                result = exchange(channel)
+                if self.persistent:
+                    self._pinned = channel
+                return result
+            except OSError as exc:
+                if reused and attempt == 0 and channel.received == answered:
+                    continue  # stale pinned socket: reconnect once
                 raise TransportError(
                     f"project server at {self.host}:{self.port} dropped: {exc}"
                 ) from exc
             except FramingError as exc:
                 raise ClientError(f"framed stream corrupt: {exc}") from exc
             finally:
-                channel.close()
-        for attempt in (0, 1):
-            reused = self._channel is not None and self._pinned_used
-            if self._channel is None:
-                self._channel = self._open_channel()
-                self._pinned_used = False
-            try:
-                response = self._exchange(self._channel, request)
-            except (OSError, ConnectionError) as exc:
-                self.close()
-                if reused and attempt == 0:
-                    continue  # stale pinned channel: reconnect once
-                raise TransportError(
-                    f"project server at {self.host}:{self.port} dropped: {exc}"
-                ) from exc
-            except FramingError as exc:
-                self.close()
-                raise ClientError(f"framed stream corrupt: {exc}") from exc
-            self._pinned_used = True
-            return response
-        raise TransportError("unreachable")  # pragma: no cover
+                if self._pinned is not channel:
+                    channel.close()
+        raise AssertionError("unreachable")  # pragma: no cover
 
-    def _request(self, line: str, *, idempotent: bool) -> str:
-        """Round-trip with the retry policy applied.
-
-        Transport failures retry only for idempotent commands; ``ERR
-        busy`` retries for everything (explicit non-admission), honouring
-        the server's retry-after hint.
-        """
+    def _backoff_busy(self, response: str, hint: float, attempt: int) -> None:
+        """Sleep before resending a busy-rejected request, or raise
+        :class:`BusyError` once the policy gives up."""
         policy = self.retry
-        attempts = policy.attempts if policy is not None else 1
+        if policy is None or not policy.retry_busy or attempt >= policy.attempts:
+            raise BusyError(response, hint)
+        time.sleep(max(hint, policy.delay(attempt - 1)))
+
+    def _request(self, command: Command) -> str:
+        """The response line to *command*, with the retry policy applied.
+
+        Transport failures retry only for commands the table marks
+        retryable; ``ERR busy`` retries for everything (explicit
+        non-admission), honouring the server's retry-after hint.
+        """
+        retryable = COMMANDS[command.kind].retry
         attempt = 0
         while True:
+            attempt += 1
+            request_id = self._next_id()
+            message = self._render(command, request_id)
             try:
-                response = self._roundtrip(line)
+                response = self._roundtrip(
+                    lambda channel: _ask(channel, message, request_id)
+                )
             except TransportError:
-                attempt += 1
-                if policy is None or not idempotent or attempt >= attempts:
+                policy = self.retry
+                if policy is None or not retryable or attempt >= policy.attempts:
                     raise
                 time.sleep(policy.delay(attempt - 1))
                 continue
             hint = parse_busy(response)
-            if hint is not None:
-                attempt += 1
-                if (
-                    policy is None
-                    or not policy.retry_busy
-                    or attempt >= attempts
-                ):
-                    raise BusyError(response, hint)
-                time.sleep(max(hint, policy.delay(attempt - 1)))
-                continue
-            return response
+            if hint is None:
+                return response
+            self._backoff_busy(response, hint, attempt)
 
-    def _ok_body(self, line: str, *, idempotent: bool = False) -> str:
-        """Send *line*; return the body of the OK response or raise."""
-        response = self._request(line, idempotent=idempotent)
+    def _call(self, command: Command):
+        """Send *command*; return its ``OK`` body parsed by the table's
+        reply parser, or raise :class:`ClientError`."""
+        response = self._request(command)
         if not response.startswith("OK"):
             raise ClientError(response)
-        return response[2:].strip()
+        try:
+            return COMMANDS[command.kind].reply(response[2:].strip())
+        except ProtocolError as exc:
+            raise ClientError(str(exc)) from exc
 
     # -- commands -------------------------------------------------------------
 
@@ -746,6 +546,14 @@ class BlueprintClient:
             name=name, direction=direction, target=target, arg=arg, user=user
         )
 
+    def _as_events(
+        self, events: Iterable[EventMessage | tuple]
+    ) -> tuple[EventMessage, ...]:
+        return tuple(
+            event if isinstance(event, EventMessage) else self._as_event(*event)
+            for event in events
+        )
+
     def post_event(
         self,
         name: str,
@@ -756,12 +564,9 @@ class BlueprintClient:
     ) -> int:
         """Post one event; returns the server-assigned sequence number."""
         event = self._as_event(name, target, direction, arg, user)
-        detail = self._ok_body(format_post_event(event))
-        return int(detail) if detail else 0
+        return self._call(Command(kind="post", event=event))
 
-    def post_batch(
-        self, events: Iterable[EventMessage | tuple]
-    ) -> list[int]:
+    def post_batch(self, events: Iterable[EventMessage | tuple]) -> list[int]:
         """Post several events as one atomic FIFO window.
 
         Each item is an :class:`EventMessage` or an argument tuple for
@@ -770,14 +575,7 @@ class BlueprintClient:
         single unknown OID rejects the whole batch.  Returns the assigned
         sequence numbers in order.
         """
-        messages = [
-            event
-            if isinstance(event, EventMessage)
-            else self._as_event(*event)
-            for event in events
-        ]
-        detail = self._ok_body(format_batch(messages))
-        return [int(token) for token in detail.split()]
+        return self._call(Command(kind="batch", events=self._as_events(events)))
 
     def post_many(
         self,
@@ -804,146 +602,65 @@ class BlueprintClient:
         mid-window raises :class:`TransportError` without resending:
         sent-but-unacknowledged events may or may not have run.
         """
-        messages = [
-            event
-            if isinstance(event, EventMessage)
-            else self._as_event(*event)
-            for event in events
-        ]
-        if not messages:
-            return []
+        messages = self._as_events(events)
         if self.transport != "frames":
-            return [
-                int(self._ok_body(format_post_event(message)) or 0)
-                for message in messages
-            ]
-        policy = self.retry
-        results: list[int | None] = [None] * len(messages)
+            return [self._call(Command(kind="post", event=event)) for event in messages]
+        results: dict[int, int] = {}
         todo = list(range(len(messages)))
-        busy_attempt = 0
-        healed = False
-        own_channel: FrameChannel | None = None
-        try:
-            while todo:
-                if self.persistent:
-                    reused = self._channel is not None and self._pinned_used
-                    if self._channel is None:
-                        self._channel = self._open_channel()
-                        self._pinned_used = False
-                    channel = self._channel
-                else:
-                    reused = own_channel is not None
-                    if own_channel is None:
-                        own_channel = self._open_channel()
-                    channel = own_channel
-                ok: dict[int, int] = {}
-                progress = any(result is not None for result in results)
-                try:
-                    busy, error = self._pipeline_window(
-                        channel, messages, todo, window, ok
-                    )
-                except (OSError, ConnectionError) as exc:
-                    self.close()
-                    if own_channel is not None:
-                        own_channel.close()
-                        own_channel = None
-                    if (
-                        self.persistent
-                        and reused
-                        and not progress
-                        and not ok
-                        and not healed
-                    ):
-                        # Stale pinned channel, nothing from this call
-                        # acknowledged: the server restarted between
-                        # calls, so resending the lot is safe — once.
-                        healed = True
-                        continue
-                    raise TransportError(
-                        f"project server at {self.host}:{self.port} "
-                        f"dropped mid-pipeline: {exc}"
-                    ) from exc
-                except FramingError as exc:
-                    self.close()
-                    raise ClientError(f"framed stream corrupt: {exc}") from exc
-                if self.persistent:
-                    self._pinned_used = True
-                for index, seq in ok.items():
-                    results[index] = seq
-                if error is not None:
-                    raise ClientError(error[1])
-                if not busy:
-                    break
-                busy_attempt += 1
-                hint = max(entry[1] for entry in busy)
-                if (
-                    policy is None
-                    or not policy.retry_busy
-                    or busy_attempt >= policy.attempts
-                ):
-                    raise BusyError(busy[0][2], hint)
-                time.sleep(max(hint, policy.delay(busy_attempt - 1)))
-                todo = [entry[0] for entry in busy]
-        finally:
-            if own_channel is not None:
-                own_channel.close()
-        assert all(result is not None for result in results)
-        return results  # type: ignore[return-value]
+        attempt = 0
+        while todo:
+            busy, error = self._roundtrip(
+                lambda channel: self._pipeline(channel, messages, todo, window, results)
+            )
+            if error is not None:
+                raise ClientError(error)
+            if busy:
+                attempt += 1
+                self._backoff_busy(busy[0][2], max(hint for _, hint, _ in busy), attempt)
+            todo = [index for index, _, _ in busy]
+        return [results[index] for index in range(len(messages))]
 
-    def _pipeline_window(
+    def _pipeline(
         self,
-        channel: FrameChannel,
-        messages: list[EventMessage],
+        channel: Channel,
+        messages: tuple[EventMessage, ...],
         todo: list[int],
         window: int,
-        ok: dict[int, int],
-    ) -> tuple[list[tuple[int, float, str]], tuple[int, str] | None]:
+        results: dict[int, int],
+    ) -> tuple[list[tuple[int, float, str]], str | None]:
         """One pipelined pass over *todo*, keeping ≤ *window* in flight.
 
-        Fills *ok* (message index → seq) in place so progress survives a
-        transport exception; returns the busy rejections as
-        ``(index, retry_hint, response)`` and the first hard error as
-        ``(index, response)`` — the in-flight window is always drained,
-        even after an error, so the channel stays usable.
+        Fills *results* (message index → seq) as acknowledgements
+        arrive; returns the busy rejections as ``(index, retry_hint,
+        response)`` and the first hard error response — the in-flight
+        window is always drained, even after an error, so the channel
+        stays usable.
         """
         inflight: dict[int, int] = {}
-        send_iter = iter(todo)
-        exhausted = False
-        error: tuple[int, str] | None = None
+        unsent = iter(todo)
         busy: list[tuple[int, float, str]] = []
+        error: str | None = None
         while True:
-            while not exhausted and len(inflight) < window:
-                index = next(send_iter, None)
-                if index is None:
-                    exhausted = True
-                    break
-                request_id = self._take_request_id()
+            for index in itertools.islice(unsent, window - len(inflight)):
+                request_id = self._next_id()
                 inflight[request_id] = index
-                channel.send(
-                    {
-                        "id": request_id,
-                        "cmd": "post",
-                        "event": event_to_payload(messages[index]),
-                    }
-                )
+                command = Command(kind="post", event=messages[index])
+                channel.send(command_to_request(command, request_id))
             if not inflight:
                 return busy, error
-            payload = channel.recv()
-            if "error" in payload:
-                raise FramingError(str(payload["error"]))
-            request_id = payload.get("id")
-            if request_id not in inflight:
+            message = channel.recv()
+            request_id = message.get("id")
+            response = _answer(message, request_id)
+            if response is None or request_id not in inflight:
                 continue  # push/credit or stale frame: not ours
             index = inflight.pop(request_id)
-            response = str(payload.get("response", ""))
             hint = parse_busy(response)
             if hint is not None:
                 busy.append((index, hint, response))
             elif response.startswith("OK"):
-                body = response[2:].strip()
-                ok[index] = int(body) if body else 0
+                results[index] = COMMANDS["post"].reply(response[2:].strip())
             elif error is None:
-                error = (index, response)
+                error = response
 
     def query(self, oid: OID | str) -> dict[str, str]:
         """Fetch the property state of one OID as text values.
@@ -952,58 +669,31 @@ class BlueprintClient:
         paper's ``"logic sim passed"``-style strings round-trip intact.
         """
         oid = OID.parse(oid) if isinstance(oid, str) else oid
-        body = self._ok_body(f"query {oid.wire()}", idempotent=True)
-        try:
-            return parse_query_response(body)
-        except ProtocolError as exc:
-            raise ClientError(str(exc)) from exc
+        return self._call(Command(kind="query", oid=oid))
 
     def stale(self) -> list[OID]:
         """The server's incremental stale set (sorted), no scan involved."""
-        try:
-            return parse_stale_response(self._ok_body("stale", idempotent=True))
-        except ProtocolError as exc:
-            raise ClientError(str(exc)) from exc
+        return self._call(Command(kind="stale"))
 
     def pending(self) -> dict[OID, tuple[str, ...]]:
         """What still blocks the planned state: OID → failing checks."""
-        try:
-            return parse_pending_response(
-                self._ok_body("pending", idempotent=True)
-            )
-        except ProtocolError as exc:
-            raise ClientError(str(exc)) from exc
+        return self._call(Command(kind="pending"))
 
     def status(self) -> dict[str, int]:
         """Server/engine counters (objects, stale, queue, waves, ...)."""
-        try:
-            return parse_status_response(
-                self._ok_body("status", idempotent=True)
-            )
-        except ProtocolError as exc:
-            raise ClientError(str(exc)) from exc
+        return self._call(Command(kind="status"))
 
     def health(self) -> dict[str, int]:
         """Durability/backpressure gauges: journal lag, queue depths,
         lock waits, busy rejections.  Answered lock-free by the server,
         so it works even when writers are wedged."""
-        try:
-            return parse_status_response(
-                self._ok_body("health", idempotent=True)
-            )
-        except ProtocolError as exc:
-            raise ClientError(str(exc)) from exc
+        return self._call(Command(kind="health"))
 
     # -- policy governance ---------------------------------------------------
 
     def policy_status(self) -> dict[str, str]:
         """The active policy document: version, class, hash, gauges."""
-        try:
-            return parse_query_response(
-                self._ok_body("policy status", idempotent=True)
-            )
-        except ProtocolError as exc:
-            raise ClientError(str(exc)) from exc
+        return self._call(Command(kind="policy_status"))
 
     def policy_propose(self, change_class: str, op: str, *args: str) -> str:
         """Propose a policy revision (``loosen`` / ``require`` / ``drop``).
@@ -1014,16 +704,16 @@ class BlueprintClient:
         a retried propose can race its own first attempt, so transport
         failures surface as :class:`TransportError` like posts do.
         """
-        line = format_policy_propose(change_class, op, tuple(args))
-        return self._ok_body(line)
+        tokens = tuple(str(token) for token in (change_class, op, *args))
+        return self._call(Command(kind="policy_propose", args=tokens))
 
     def policy_approve(self, version: int | str) -> str:
         """Activate the pending breaking proposal (must name its version)."""
-        return self._ok_body(f"policy approve {version}")
+        return self._call(Command(kind="policy_approve", args=(str(version),)))
 
     def policy_rollback(self) -> str:
         """Restore the previous document's content as a new version."""
-        return self._ok_body("policy rollback")
+        return self._call(Command(kind="policy_rollback"))
 
     def audit(self, limit: int | None = None) -> list[dict]:
         """The tail of the policy decision log, oldest first.
@@ -1031,81 +721,42 @@ class BlueprintClient:
         Each record is a payload dict (``seq``, ``kind``, ``subject``,
         ``verdict``, ``reason``, ``version``).
         """
-        line = "audit" if limit is None else f"audit {int(limit)}"
-        try:
-            return parse_audit_response(self._ok_body(line, idempotent=True))
-        except ProtocolError as exc:
-            raise ClientError(str(exc)) from exc
+        args = () if limit is None else (str(int(limit)),)
+        return self._call(Command(kind="audit", args=args))
 
-    def _open_subscription(self) -> socket.socket:
-        """Connect, send ``subscribe``, consume the ack; returns the socket."""
-        conn = self._connect()
-        conn.settimeout(None)  # blocking; Subscription handles timeouts
-        try:
-            conn.sendall(b"subscribe\n")
-        except OSError as exc:
-            conn.close()
-            raise TransportError(f"subscribe failed: {exc}") from exc
-        probe = Subscription(conn)
-        try:
-            ack = probe._readline(self.timeout).strip()
-        except ClientError:
-            conn.close()
-            raise
-        if not ack.startswith("OK"):
-            conn.close()
-            raise ClientError(ack or "empty response from project server")
-        return conn
+    def ping(self) -> bool:
+        return self._request(Command(kind="ping")) == "PONG"
 
-    def _open_framed_subscription(self) -> FrameChannel:
-        """Connect over frames, subscribe, consume the tagged ack."""
-        conn = self._connect()
-        channel = FrameChannel(conn)
+    # -- subscriptions ---------------------------------------------------------
+
+    def _open_subscription(self) -> Channel:
+        """Connect, send ``subscribe`` and read the ack (under the read
+        timeout) through the channel that then carries the pushes, so a
+        push arriving in the same read as the ack is kept."""
+        message = self._render(Command(kind="subscribe"), 0)
+        channel = self._open()
         try:
-            channel.send({"id": 0, "cmd": "subscribe"})
-            while True:
-                payload = channel.recv()
-                if payload.get("id") == 0:
-                    response = str(payload.get("response", ""))
-                    if not response.startswith("OK"):
-                        raise ClientError(
-                            response or "empty response from project server"
-                        )
-                    break
-        except (OSError, ConnectionError) as exc:
+            response = _ask(channel, message, 0)
+        except (OSError, FramingError) as exc:
             channel.close()
             raise TransportError(f"subscribe failed: {exc}") from exc
-        except FramingError as exc:
-            channel.close()
-            raise ClientError(f"framed stream corrupt: {exc}") from exc
-        except ClientError:
+        except BaseException:
             channel.close()
             raise
-        conn.settimeout(None)  # blocking; FramedSubscription handles timeouts
+        if not response.startswith("OK"):
+            channel.close()
+            raise ClientError(response)
+        channel.conn.settimeout(None)  # blocking; Subscription keeps deadlines
         return channel
 
-    def _snapshot_client(self) -> "BlueprintClient":
-        """A one-shot twin used for resync snapshots during recovery."""
-        return BlueprintClient(
-            host=self.host,
-            port=self.port,
-            timeout=self.timeout,
-            connect_timeout=self.connect_timeout,
-            read_timeout=self.read_timeout,
-            retry=self.retry or RetryPolicy(),
-            transport=self.transport,
-        )
-
-    def subscribe(
-        self, *, auto_resync: bool = False
-    ) -> "Subscription | FramedSubscription":
+    def subscribe(self, *, auto_resync: bool = False) -> Subscription:
         """Open a persistent connection receiving push notifications.
 
         The server acknowledges with ``OK subscribed`` and then pushes
         ``STALE <oid>`` / ``FRESH <oid>`` the moment a wave re-buckets
-        an object — no polling.  On the frames transport this returns a
-        :class:`FramedSubscription`, whose stream is never closed for
-        falling behind (the server coalesces instead — see that class).
+        an object — no polling.  On the frames transport the stream is
+        never closed for falling behind (the server coalesces instead —
+        see :class:`Subscription`).
 
         With ``auto_resync=True`` the subscription heals itself: on EOF
         (server bounce, slow-subscriber kick) it reconnects with
@@ -1114,28 +765,17 @@ class BlueprintClient:
         reconciling its tracked view — a mirror driven by this stream
         converges even across the gap.
         """
-        if self.transport == "frames":
-            framed = self._open_framed_subscription()
-            if not auto_resync:
-                return FramedSubscription(framed)
-            return FramedSubscription(
-                framed,
-                resubscribe=self._open_framed_subscription,
-                resync=self._snapshot_client().stale,
-                retry=self.retry or RetryPolicy(attempts=8),
-            )
-        conn = self._open_subscription()
+        channel = self._open_subscription()
         if not auto_resync:
-            return Subscription(conn)
+            return Subscription(channel)
+        # A one-shot twin fetches the resync snapshots.
+        snapshots = replace(self, persistent=False, retry=self.retry or RetryPolicy())
         return Subscription(
-            conn,
+            channel,
             resubscribe=self._open_subscription,
-            resync=self._snapshot_client().stale,
+            resync=snapshots.stale,
             retry=self.retry or RetryPolicy(attempts=8),
         )
-
-    def ping(self) -> bool:
-        return self._request("ping", idempotent=True) == "PONG"
 
 
 def post_event_main(argv: list[str] | None = None) -> int:

@@ -24,7 +24,8 @@ that removes both limits:
 Payload shapes (all JSON objects):
 
 * request:  ``{"id": 7, "cmd": "post", "event": {...}}`` — command
-  names and argument shapes mirror the line dialect (see
+  names are the kinds of :data:`repro.network.protocol.COMMANDS`, and
+  each kind's argument field follows its codec there (see
   :func:`request_to_command`);
 * response: ``{"id": 7, "response": "OK 12"}`` — the body is the same
   ``OK ... / ERR ...`` line the line dialect would answer, so every
@@ -40,18 +41,33 @@ Payload shapes (all JSON objects):
 
 The decoder is incremental: bytes arrive in arbitrary chunks (torn
 mid-header or mid-payload) and complete frames come out.
+
+On the client side, :class:`LineChannel` and :class:`FrameChannel` wrap
+a blocking socket in one dialect each, with the same ``send`` /
+``recv(timeout)`` / ``close`` surface, so the client's connection core
+and its subscription are written once for both.
 """
 
 from __future__ import annotations
 
 import json
+import select
 import socket
 import struct
+import time
+from collections import deque
 from typing import Iterator
 
 from repro.core.events import EventMessage
-from repro.metadb.oid import OID
-from repro.network.protocol import Command, ProtocolError, parse_post_event
+from repro.network.protocol import (
+    COMMANDS,
+    POST_EVENT,
+    Command,
+    ProtocolError,
+    check_arity,
+    parse_oid,
+    parse_post_event,
+)
 
 #: Protocol version carried in the low nibble of the magic byte.
 FRAME_VERSION = 1
@@ -171,25 +187,6 @@ def payload_to_event(payload: dict) -> EventMessage:
         raise FramingError(f"bad event payload: {exc}") from exc
 
 
-#: Framed commands with no arguments beyond the tag.
-_BARE_COMMANDS = frozenset(
-    {
-        "stale",
-        "pending",
-        "status",
-        "health",
-        "subscribe",
-        "ping",
-        "quit",
-        "policy_status",
-        "policy_rollback",
-    }
-)
-
-#: Framed commands whose arguments are a flat list of string tokens
-#: (mirroring the line dialect's shlex-split tail).
-_ARGS_COMMANDS = frozenset({"policy_propose", "policy_approve", "audit"})
-
 #: Client→server credit verbs (flow control for the push stream).
 CREDIT_PAUSE = "PAUSE"
 CREDIT_RESUME = "RESUME"
@@ -198,13 +195,21 @@ CREDIT_RESUME = "RESUME"
 def request_to_command(payload: dict) -> Command:
     """Parse one framed request payload into a protocol :class:`Command`.
 
-    Raises :class:`FramingError` (a :class:`ProtocolError`) with a
-    human-readable reason; the server echoes it in the error response.
+    Command names are the table's kinds (plus ``postEvent`` as an alias
+    of ``post``).  Raises :class:`FramingError` (a
+    :class:`ProtocolError`) with a human-readable reason; the server
+    echoes it in the error response.
     """
     cmd = payload.get("cmd")
     if not isinstance(cmd, str):
         raise FramingError("request has no 'cmd'")
-    if cmd in ("post", "postEvent"):
+    spec = COMMANDS.get("post" if cmd == POST_EVENT else cmd)
+    if spec is None:
+        raise FramingError(f"unknown framed command {cmd!r}")
+    codec = spec.codec
+    if codec == "none":
+        return check_arity(spec, [], FramingError)
+    if codec == "event":
         event = payload.get("event")
         if isinstance(event, str):
             # Line-dialect escape hatch: a full ``postEvent ...`` line.
@@ -212,7 +217,7 @@ def request_to_command(payload: dict) -> Command:
         if not isinstance(event, dict):
             raise FramingError("post request needs an 'event' object")
         return Command(kind="post", event=payload_to_event(event))
-    if cmd == "batch":
+    if codec == "events":
         members = payload.get("events")
         if not isinstance(members, list) or not members:
             raise FramingError("batch request needs a non-empty 'events' list")
@@ -220,113 +225,121 @@ def request_to_command(payload: dict) -> Command:
             kind="batch",
             events=tuple(payload_to_event(member) for member in members),
         )
-    if cmd == "query":
+    if codec == "oid":
         wire = payload.get("oid")
         if not isinstance(wire, str):
-            raise FramingError("query request needs an 'oid' string")
-        try:
-            return Command(kind="query", oid=OID.parse(wire))
-        except Exception as exc:
-            raise FramingError(f"bad OID {wire!r}: {exc}") from exc
-    if cmd in _ARGS_COMMANDS:
-        args = payload.get("args", [])
-        if not isinstance(args, list) or not all(
-            isinstance(arg, str) for arg in args
-        ):
-            raise FramingError(f"{cmd} request needs an 'args' string list")
-        if cmd == "policy_propose" and len(args) < 2:
-            raise FramingError(
-                "policy_propose needs at least [change_class, op] args"
-            )
-        if cmd == "policy_approve" and len(args) != 1:
-            raise FramingError("policy_approve needs exactly one version arg")
-        if cmd == "audit" and len(args) > 1:
-            raise FramingError("audit takes at most one limit arg")
-        return Command(kind=cmd, args=tuple(args))
-    if cmd in _BARE_COMMANDS:
-        return Command(kind=cmd)
-    raise FramingError(f"unknown framed command {cmd!r}")
+            raise FramingError(spec.frame_usage)
+        return Command(kind=spec.kind, oid=parse_oid(wire, FramingError))
+    args = payload.get("args", [])
+    if not isinstance(args, list) or not all(isinstance(arg, str) for arg in args):
+        raise FramingError(f"{cmd} request needs an 'args' string list")
+    return check_arity(spec, args, FramingError)
 
 
 def command_to_request(command: Command, request_id: int) -> dict:
     """Render a protocol :class:`Command` as a framed request payload."""
-    if command.kind == "post":
+    request: dict = {"id": request_id, "cmd": command.kind}
+    codec = COMMANDS[command.kind].codec
+    if codec == "event":
         assert command.event is not None
-        return {
-            "id": request_id,
-            "cmd": "post",
-            "event": event_to_payload(command.event),
-        }
-    if command.kind == "batch":
-        return {
-            "id": request_id,
-            "cmd": "batch",
-            "events": [event_to_payload(event) for event in command.events],
-        }
-    if command.kind == "query":
+        request["event"] = event_to_payload(command.event)
+    elif codec == "events":
+        request["events"] = [event_to_payload(event) for event in command.events]
+    elif codec == "oid":
         assert command.oid is not None
-        return {"id": request_id, "cmd": "query", "oid": command.oid.wire()}
-    if command.kind in _ARGS_COMMANDS:
-        return {
-            "id": request_id,
-            "cmd": command.kind,
-            "args": list(command.args),
-        }
-    return {"id": request_id, "cmd": command.kind}
+        request["oid"] = command.oid.wire()
+    elif codec == "tokens":
+        request["args"] = list(command.args)
+    return request
 
 
 # ---------------------------------------------------------------------------
-# blocking socket channel (sync client side)
+# blocking socket channels (sync client side)
 # ---------------------------------------------------------------------------
 
 
-class FrameChannel:
-    """A blocking socket wrapped in the frame codec (client side).
+class _Channel:
+    """A blocking socket plus the receive buffer of one dialect.
 
-    Owns its receive buffer, so a timeout mid-frame keeps the partial
-    bytes for the next call — the framed analogue of the byte-buffered
-    line reads the self-healing client uses.
+    The buffer belongs to the channel, not to a call: a read that times
+    out mid-message keeps the partial bytes for the next call, and
+    messages that arrive together (an ack and the first pushes, say)
+    are all kept.  ``received`` counts the messages read so far.
     """
 
     def __init__(self, conn: socket.socket) -> None:
         self.conn = conn
-        self._decoder = FrameDecoder()
-        self._ready: list[dict] = []
+        self.received = 0
 
-    def send(self, payload: dict) -> None:
-        self.conn.sendall(encode_frame(payload))
+    def recv(self, timeout: float | None = None):
+        """The next message, in arrival order.
 
-    def recv(self) -> dict:
-        """Block (under the socket's timeout) until one frame arrives.
-
-        Raises ``OSError``/``socket.timeout`` from the socket layer and
-        :class:`FramingError` on stream corruption; returns frames
-        strictly in arrival order.  EOF raises ``ConnectionError``.
+        Without *timeout* this blocks under the socket's own timeout;
+        with one it raises ``socket.timeout`` once that many seconds
+        pass.  EOF raises ``ConnectionResetError``, and a corrupt frame
+        stream :class:`FramingError`.
         """
-        while not self._ready:
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while (message := self._pop()) is None:
+            if deadline is not None:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0 or not select.select([self.conn], [], [], remaining)[0]:
+                    raise socket.timeout("timed out")
             chunk = self.conn.recv(65536)
             if not chunk:
                 raise ConnectionResetError("connection closed by peer")
-            self._ready.extend(self._decoder.feed(chunk))
-        return self._ready.pop(0)
+            self._feed(chunk)
+        self.received += 1
+        return message
 
-    def recv_buffered(self) -> dict | None:
-        """One already-decoded frame, or None — never touches the socket.
+    def _pop(self):
+        raise NotImplementedError
 
-        Lets a caller that multiplexes its own socket waits (select with
-        a deadline, as the framed subscription does) drain frames the
-        decoder completed from earlier reads before blocking again.
-        """
-        if self._ready:
-            return self._ready.pop(0)
-        return None
-
-    def feed(self, chunk: bytes) -> None:
-        """Push bytes read outside :meth:`recv` through the decoder."""
-        self._ready.extend(self._decoder.feed(chunk))
+    def _feed(self, chunk: bytes) -> None:
+        raise NotImplementedError
 
     def close(self) -> None:
         try:
             self.conn.close()
         except OSError:
             pass
+
+
+class LineChannel(_Channel):
+    """The line dialect: ``send`` a line, ``recv`` stripped lines."""
+
+    def __init__(self, conn: socket.socket) -> None:
+        super().__init__(conn)
+        self._buffer = bytearray()
+
+    def send(self, line: str) -> None:
+        self.conn.sendall((line + "\n").encode("utf-8"))
+
+    def _feed(self, chunk: bytes) -> None:
+        self._buffer.extend(chunk)
+
+    def _pop(self) -> str | None:
+        end = self._buffer.find(b"\n")
+        if end < 0:
+            return None
+        raw = bytes(self._buffer[:end])
+        del self._buffer[: end + 1]
+        return raw.decode("utf-8", errors="replace").strip()
+
+
+class FrameChannel(_Channel):
+    """The framed dialect: ``send`` a payload, ``recv`` decoded frames."""
+
+    def __init__(self, conn: socket.socket) -> None:
+        super().__init__(conn)
+        self._decoder = FrameDecoder()
+        self._ready: deque[dict] = deque()
+
+    def send(self, payload: dict) -> None:
+        self.conn.sendall(encode_frame(payload))
+
+    def _feed(self, chunk: bytes) -> None:
+        self._ready.extend(self._decoder.feed(chunk))
+
+    def _pop(self) -> dict | None:
+        return self._ready.popleft() if self._ready else None

@@ -44,12 +44,21 @@ When the writer backlog exceeds the server's bound, ``postEvent`` /
 instead of queueing without limit; a rejected event was *not* admitted,
 so retrying it is always safe (:func:`parse_busy` extracts the hint).
 
-All messages are UTF-8 lines terminated by ``\\n``.  The server applies
-a reader-writer lock discipline per command kind: :data:`LOCK_EXCLUSIVE`
-kinds mutate the engine and enqueue FIFO behind one writer lock,
-:data:`LOCK_SHARED` kinds scan the database under a shared read lock,
-and everything else answers from GIL-atomic snapshots with no lock at
-all (so they complete even while a wave is running).
+All messages are UTF-8 lines terminated by ``\\n``.
+
+Each command is described once, in :data:`COMMANDS`: its line spelling,
+its argument codec, its lock class, whether a client may resend it after
+a transport failure, and how a client parses its ``OK`` body.  The line
+parser (:func:`parse_command`), the line renderer
+(:func:`format_command`), the framed codec
+(:func:`repro.network.framing.request_to_command` /
+:func:`~repro.network.framing.command_to_request`), the servers' lock
+sets and the client all read that table.  The lock classes:
+:data:`LOCK_EXCLUSIVE` kinds are journaled writes that enqueue FIFO
+behind one writer lock, :data:`LOCK_SHARED` kinds scan the database
+under a shared read lock, and everything else answers from GIL-atomic
+snapshots with no lock at all (so they complete even while a wave is
+running).
 """
 
 from __future__ import annotations
@@ -58,6 +67,7 @@ import json
 import re
 import shlex
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.core.events import EventMessage
 from repro.metadb.links import Direction
@@ -69,17 +79,8 @@ class ProtocolError(ValueError):
 
 
 POST_EVENT = "postEvent"
-QUERY = "query"
-PING = "ping"
-QUIT = "quit"
-STALE = "stale"
-PENDING = "pending"
-STATUS = "status"
-HEALTH = "health"
-SUBSCRIBE = "subscribe"
 BATCH = "batch"
 POLICY = "policy"
-AUDIT = "audit"
 
 #: Notification verbs pushed to subscribed connections.
 NOTIFY_STALE = "STALE"
@@ -90,20 +91,6 @@ NOTIFY_FRESH = "FRESH"
 #: crashed server on the client side.  (The framed transport never
 #: drops slow subscribers; it coalesces instead.)
 OVERLOAD_LINE = "ERR overloaded"
-
-#: Policy lifecycle commands: journaled writes, serialized with posts
-#: through the same writer lock / group-commit path so a propose and an
-#: approve racing each other resolve in journal order.
-POLICY_WRITES = frozenset({"policy_propose", "policy_approve", "policy_rollback"})
-
-#: Command kinds that mutate engine state: the server runs them under
-#: the exclusive writer lock, so posts from many clients enqueue FIFO.
-LOCK_EXCLUSIVE = frozenset({"post", "batch"}) | POLICY_WRITES
-
-#: Command kinds that scan the database (lineage walks, expression
-#: evaluation): the server runs them under the shared reader lock.
-LOCK_SHARED = frozenset({"pending"})
-
 
 def _flatten(text: str) -> str:
     """Degrade newlines to spaces: line framing cannot carry them, and
@@ -201,89 +188,11 @@ def parse_batch(line: str) -> tuple[EventMessage, ...]:
 class Command:
     """One parsed server command."""
 
-    kind: str  # post | batch | query | stale | pending | status | subscribe | policy_* | audit | ping | quit
+    kind: str  # a key of COMMANDS
     event: EventMessage | None = None
     oid: OID | None = None
     events: tuple[EventMessage, ...] = ()
     args: tuple[str, ...] = ()
-
-
-def _parse_policy(stripped: str) -> Command:
-    """Parse a ``policy`` line into its lifecycle sub-command."""
-    try:
-        parts = shlex.split(stripped)
-    except ValueError as exc:
-        raise ProtocolError(f"bad quoting: {exc}") from exc
-    usage = "usage: policy status|propose CLASS OP [ARGS...]|approve VERSION|rollback"
-    if len(parts) < 2:
-        raise ProtocolError(usage)
-    sub = parts[1]
-    rest = parts[2:]
-    if sub == "status":
-        if rest:
-            raise ProtocolError("'policy status' takes no arguments")
-        return Command(kind="policy_status")
-    if sub == "propose":
-        if len(rest) < 2:
-            raise ProtocolError(
-                "usage: policy propose additive|breaking "
-                "loosen|require|drop [ARGS...]"
-            )
-        return Command(kind="policy_propose", args=tuple(rest))
-    if sub == "approve":
-        if len(rest) != 1:
-            raise ProtocolError("usage: policy approve VERSION")
-        return Command(kind="policy_approve", args=(rest[0],))
-    if sub == "rollback":
-        if rest:
-            raise ProtocolError("'policy rollback' takes no arguments")
-        return Command(kind="policy_rollback")
-    raise ProtocolError(usage)
-
-
-def parse_command(line: str) -> Command:
-    """Parse any server-dialect line."""
-    stripped = line.strip()
-    if not stripped:
-        raise ProtocolError("empty command")
-    head = stripped.split(None, 1)[0]
-    if head == POST_EVENT:
-        return Command(kind="post", event=parse_post_event(stripped))
-    if head == BATCH:
-        return Command(kind="batch", events=parse_batch(stripped))
-    if head == QUERY:
-        parts = stripped.split()
-        if len(parts) != 2:
-            raise ProtocolError("usage: query BLOCK,VIEW,VERSION")
-        try:
-            return Command(kind="query", oid=OID.parse(parts[1]))
-        except Exception as exc:
-            raise ProtocolError(f"bad OID {parts[1]!r}: {exc}") from exc
-    if head == POLICY:
-        return _parse_policy(stripped)
-    if head == AUDIT:
-        parts = stripped.split()
-        if len(parts) > 2:
-            raise ProtocolError("usage: audit [N]")
-        if len(parts) == 2:
-            if not parts[1].isdigit():
-                raise ProtocolError(f"bad audit limit {parts[1]!r}")
-            return Command(kind="audit", args=(parts[1],))
-        return Command(kind="audit")
-    if head in (STALE, PENDING, STATUS, HEALTH, SUBSCRIBE, PING, QUIT):
-        if stripped != head:
-            raise ProtocolError(f"'{head}' takes no arguments")
-        kinds = {
-            STALE: "stale",
-            PENDING: "pending",
-            STATUS: "status",
-            HEALTH: "health",
-            SUBSCRIBE: "subscribe",
-            PING: "ping",
-            QUIT: "quit",
-        }
-        return Command(kind=kinds[head])
-    raise ProtocolError(f"unknown command {head!r}")
 
 
 def ok_response(detail: str = "") -> str:
@@ -421,16 +330,6 @@ def parse_status_response(body: str) -> dict[str, int]:
     return counters
 
 
-def format_policy_propose(
-    change_class: str, op: str, args: tuple[str, ...] | list[str]
-) -> str:
-    """Render a ``policy propose`` line, each argument shlex-quoted
-    (permission conditions contain spaces and ``$`` sigils)."""
-    tokens = [POLICY, "propose", _wire_token(change_class), _wire_token(op)]
-    tokens.extend(_wire_token(str(arg)) for arg in args)
-    return " ".join(tokens)
-
-
 def format_policy_status(fields: list[tuple[str, str]]) -> str:
     """Render the governed-policy snapshot as quoted ``name=value``
     tokens (same discipline as ``query``; clients re-parse with
@@ -488,3 +387,193 @@ def parse_notification(line: str) -> tuple[str, OID]:
         return parts[0], OID.parse(parts[1])
     except Exception as exc:
         raise ProtocolError(f"bad OID in notification {line!r}: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
+# the command table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CommandSpec:
+    """One wire command, described once for every layer that speaks it.
+
+    ``codec`` names the argument shape, on both transports:
+
+    * ``none`` — no arguments;
+    * ``oid`` — one OID (``query a,v,1`` / ``{"oid": "a,v,1"}``);
+    * ``event`` / ``events`` — one event / a non-empty list of events
+      (``postEvent ...`` / ``batch ...`` lines, event objects in frames);
+    * ``tokens`` — string tokens, between ``arity`` bounds (``None``
+      for no upper bound); ``usage`` / ``frame_usage`` are the errors
+      for a wrong count on each transport.
+    """
+
+    kind: str  # Command.kind, and the framed request's "cmd"
+    line: str  # line-dialect spelling
+    codec: str
+    #: "exclusive" (a journaled write, FIFO behind the writer lock),
+    #: "shared" (scans under the reader lock) or "none" (lock-free).
+    lock: str = "none"
+    #: True when a client may resend it after a transport failure.
+    retry: bool = False
+    #: Parses the body of the ``OK`` response, client side.
+    reply: Callable[[str], object] | None = None
+    arity: tuple[int, int | None] = (0, 0)
+    usage: str = ""
+    frame_usage: str = ""
+
+
+def _parse_seq(body: str) -> int:
+    return int(body) if body else 0
+
+
+def _parse_seqs(body: str) -> list[int]:
+    return [int(token) for token in body.split()]
+
+
+#: Every command, by kind.
+COMMANDS: dict[str, CommandSpec] = {
+    spec.kind: spec
+    for spec in (
+        CommandSpec("post", POST_EVENT, "event", "exclusive", reply=_parse_seq),
+        CommandSpec("batch", BATCH, "events", "exclusive", reply=_parse_seqs),
+        CommandSpec(
+            "query", "query", "oid", retry=True, reply=parse_query_response,
+            usage="usage: query BLOCK,VIEW,VERSION",
+            frame_usage="query request needs an 'oid' string",
+        ),
+        CommandSpec("stale", "stale", "none", retry=True, reply=parse_stale_response),
+        CommandSpec(
+            "pending", "pending", "none", "shared", retry=True,
+            reply=parse_pending_response,
+        ),
+        CommandSpec("status", "status", "none", retry=True, reply=parse_status_response),
+        CommandSpec("health", "health", "none", retry=True, reply=parse_status_response),
+        CommandSpec("subscribe", "subscribe", "none"),
+        CommandSpec("ping", "ping", "none", retry=True),
+        CommandSpec("quit", "quit", "none"),
+        CommandSpec(
+            "policy_status", "policy status", "none", retry=True,
+            reply=parse_query_response,
+        ),
+        CommandSpec(
+            "policy_propose", "policy propose", "tokens", "exclusive", reply=str,
+            arity=(2, None),
+            usage="usage: policy propose additive|breaking loosen|require|drop [ARGS...]",
+            frame_usage="policy_propose needs at least [change_class, op] args",
+        ),
+        CommandSpec(
+            "policy_approve", "policy approve", "tokens", "exclusive", reply=str,
+            arity=(1, 1), usage="usage: policy approve VERSION",
+            frame_usage="policy_approve needs exactly one version arg",
+        ),
+        CommandSpec("policy_rollback", "policy rollback", "none", "exclusive", reply=str),
+        CommandSpec(
+            "audit", "audit", "tokens", retry=True, reply=parse_audit_response,
+            arity=(0, 1), usage="usage: audit [N]",
+            frame_usage="audit takes at most one limit arg",
+        ),
+    )
+}
+
+#: Command kinds that mutate engine state and are journaled: the server
+#: runs them under the exclusive writer lock, so posts from many clients
+#: enqueue FIFO.
+LOCK_EXCLUSIVE = frozenset(k for k, s in COMMANDS.items() if s.lock == "exclusive")
+
+#: Command kinds that scan the database (lineage walks, expression
+#: evaluation): the server runs them under the shared reader lock.
+LOCK_SHARED = frozenset(k for k, s in COMMANDS.items() if s.lock == "shared")
+
+#: Policy lifecycle commands: journaled writes, serialized with posts
+#: through the same writer lock / group-commit path so a propose and an
+#: approve racing each other resolve in journal order.
+POLICY_WRITES = frozenset(
+    k for k in LOCK_EXCLUSIVE if COMMANDS[k].line.startswith(POLICY + " ")
+)
+
+_BY_LINE = {spec.line: spec for spec in COMMANDS.values()}
+
+#: The argument-free commands, built once (a Command is immutable).
+_NO_ARGS = {kind: Command(kind=kind) for kind in COMMANDS}
+
+
+def parse_oid(text: str, error: type[ProtocolError] = ProtocolError) -> OID:
+    """Parse a wire OID, raising *error* with the wire's reason."""
+    try:
+        return OID.parse(text)
+    except Exception as exc:
+        raise error(f"bad OID {text!r}: {exc}") from exc
+
+
+def check_arity(
+    spec: CommandSpec, args: list[str], error: type[ProtocolError] = ProtocolError
+) -> Command:
+    """A ``tokens`` (or argument-free) command, its count checked.
+
+    *error* is :class:`ProtocolError` for a line and the framed
+    transport's subclass for a frame; it also picks the usage text.
+    """
+    low, high = spec.arity
+    if len(args) < low or (high is not None and len(args) > high):
+        usage = spec.usage if error is ProtocolError else spec.frame_usage
+        raise error(usage or f"'{spec.line}' takes no arguments")
+    if not args:
+        return _NO_ARGS[spec.kind]
+    return Command(kind=spec.kind, args=tuple(args))
+
+
+def parse_command(line: str) -> Command:
+    """Parse any server-dialect line."""
+    stripped = line.strip()
+    if not stripped:
+        raise ProtocolError("empty command")
+    head = stripped.split(None, 1)[0]
+    if head == POLICY:
+        # Two-word spellings; arguments are shlex-quoted tokens.
+        try:
+            parts = shlex.split(stripped)
+        except ValueError as exc:
+            raise ProtocolError(f"bad quoting: {exc}") from exc
+        spec = _BY_LINE.get(" ".join(parts[:2]))
+        if spec is None:
+            raise ProtocolError(
+                "usage: policy status|propose CLASS OP [ARGS...]|approve VERSION|rollback"
+            )
+        return check_arity(spec, parts[2:])
+    spec = _BY_LINE.get(head)
+    if spec is None:
+        raise ProtocolError(f"unknown command {head!r}")
+    codec = spec.codec
+    if codec == "none":
+        if stripped != head:
+            raise ProtocolError(f"'{head}' takes no arguments")
+        return _NO_ARGS[spec.kind]
+    if codec == "oid":
+        parts = stripped.split()
+        if len(parts) != 2:
+            raise ProtocolError(spec.usage)
+        return Command(kind=spec.kind, oid=parse_oid(parts[1]))
+    if codec == "event":
+        return Command(kind=spec.kind, event=parse_post_event(stripped))
+    if codec == "events":
+        return Command(kind=spec.kind, events=parse_batch(stripped))
+    command = check_arity(spec, stripped.split()[1:])
+    if spec.kind == "audit" and command.args and not command.args[0].isdigit():
+        raise ProtocolError(f"bad audit limit {command.args[0]!r}")
+    return command
+
+
+def format_command(command: Command) -> str:
+    """Render *command* as its line-dialect request (no newline)."""
+    spec = COMMANDS[command.kind]
+    if spec.codec == "event":
+        assert command.event is not None
+        return format_post_event(command.event)
+    if spec.codec == "events":
+        return format_batch(list(command.events))
+    if spec.codec == "oid":
+        assert command.oid is not None
+        return f"{spec.line} {command.oid.wire()}"
+    return " ".join([spec.line, *map(_wire_token, command.args)])

@@ -26,8 +26,8 @@ from repro.network.client import (
     BlueprintClient,
     BusyError,
     ClientError,
-    FramedSubscription,
     RetryPolicy,
+    Subscription,
 )
 from repro.network.framing import CREDIT_PAUSE, CREDIT_RESUME, FrameChannel
 from repro.network.protocol import OVERLOAD_LINE
@@ -308,7 +308,7 @@ class TestFramedSubscription:
             channel = FrameChannel(raw)
             channel.send({"id": 0, "cmd": "subscribe"})
             assert channel.recv()["response"].startswith("OK")
-            sub = FramedSubscription(channel)
+            sub = Subscription(channel)
             # Flood transitions WITHOUT reading: 200 flap pairs across
             # three objects, ending in a known mixed state.
             with poster:
