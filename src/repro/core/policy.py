@@ -220,8 +220,9 @@ def apply_blueprint_to_links(blueprint: Blueprint, db: MetaDatabase) -> int:
 
     Swapping blueprints changes templates for *future* links; this helper
     re-derives PROPAGATE lists for links already in the database so a
-    phase switch takes effect immediately.  Returns the number of links
-    whose PROPAGATE list changed.
+    phase switch takes effect immediately.  Each changed link is recorded
+    with :meth:`MetaDatabase.touch_link`, so a write-back stores its new
+    list.  Returns the number of links whose PROPAGATE list changed.
     """
     changed = 0
     for link in db.links():
@@ -241,6 +242,7 @@ def apply_blueprint_to_links(blueprint: Blueprint, db: MetaDatabase) -> int:
                 link.allow(event)
             if not new_events:
                 link.properties.set("PROPAGATE", "")
+            db.touch_link(link.link_id)
             changed += 1
     return changed
 

@@ -15,6 +15,9 @@ Every mutation also maintains the secondary indexes of
 property value, latest-version, the incremental stale set and the link
 adjacency cache), and mutations performed inside :meth:`MetaDatabase.
 transaction` are undone — indexes included — when the block raises.
+When the store records changes (``store.changes``, see
+:mod:`repro.metadb.store`), every mutation also names the rows it
+touched there, so a write-back can write only those.
 """
 
 from __future__ import annotations
@@ -95,7 +98,8 @@ class MetaDatabase:
         return self.store.lazy
 
     def flush(self, registry=None) -> None:
-        """Write dirty state back through the store (no-op when eager)."""
+        """Write a lazy store's recorded changes back (no-op when eager:
+        an eager database writes back through ``save_database``)."""
         self.store.flush(registry)
 
     def close(self) -> None:
@@ -158,21 +162,15 @@ class MetaDatabase:
 
     def _subscribe_object(self, obj: MetaObject) -> None:
         oid = obj.oid
-        if self.store.lazy:
-            store = self.store
+        store = self.store
 
-            def on_change(change: PropertyChange, _obj: MetaObject = obj) -> None:
-                if self._txn_log is not None:
-                    self._txn_log.append(self._property_undo(_obj, change))
-                self._indexes.property_changed(_obj, change)
-                store.object_dirty(_obj.oid)
-
-        else:
-
-            def on_change(change: PropertyChange, _obj: MetaObject = obj) -> None:
-                if self._txn_log is not None:
-                    self._txn_log.append(self._property_undo(_obj, change))
-                self._indexes.property_changed(_obj, change)
+        def on_change(change: PropertyChange, _obj: MetaObject = obj) -> None:
+            if self._txn_log is not None:
+                self._txn_log.append(self._property_undo(_obj, change))
+            self._indexes.property_changed(_obj, change)
+            changes = store.changes  # None for an unanchored eager store
+            if changes is not None:
+                changes.property_changed(_obj.oid, change.name)
 
         obj.properties.subscribe(on_change)
         self._bag_observers[oid] = on_change
@@ -196,13 +194,32 @@ class MetaDatabase:
         self._indexes.shard_evicted(objs)
 
     def touch(self, oid: OID) -> None:
-        """Mark *oid*'s shard dirty for write-back.
+        """Record *oid*'s object row as changed for write-back.
 
         Property mutations flow through the bag observers automatically;
         this is the escape hatch for direct attribute writes (workspace
         check-out state) that bypass the property channel.
         """
-        self.store.object_dirty(oid)
+        self._object_changed(oid)
+
+    def touch_link(self, link_id: int) -> None:
+        """Record link *link_id*'s row as changed for write-back.
+
+        The counterpart of :meth:`touch` for links: call it after editing
+        a link's PROPAGATE list or annotations in place (a blueprint
+        swap re-deriving PROPAGATE lists), which no mutator sees.
+        """
+        self._link_changed(link_id)
+
+    def _object_changed(self, oid: OID) -> None:
+        changes = self.store.changes
+        if changes is not None:
+            changes.object_changed(oid)
+
+    def _link_changed(self, link_id: int) -> None:
+        changes = self.store.changes
+        if changes is not None:
+            changes.links.add(link_id)
 
     def _unindex_object(self, obj: MetaObject) -> None:
         observer = self._bag_observers.pop(obj.oid, None)
@@ -289,6 +306,7 @@ class MetaDatabase:
         else:
             versions.append(oid.version)
         self._index_object(obj)
+        self._object_changed(oid)
         self._log_undo(lambda: self.remove_object(oid))
         if fire_hooks:
             for hook in list(self.object_hooks):
@@ -326,6 +344,7 @@ class MetaDatabase:
             if not versions:
                 del self._lineages[oid.lineage]
         self._unindex_object(obj)
+        self._object_changed(oid)
         self._log_undo(lambda: self._restore_object(obj))
 
     def _restore_object(self, obj: MetaObject) -> None:
@@ -338,6 +357,7 @@ class MetaDatabase:
         versions.append(oid.version)
         versions.sort()
         self._index_object(obj)
+        self._object_changed(oid)
 
     def objects(self) -> Iterator[MetaObject]:
         return iter(self._objects.values())
@@ -427,35 +447,87 @@ class MetaDatabase:
         """
         source = OID.parse(source) if isinstance(source, str) else source
         dest = OID.parse(dest) if isinstance(dest, str) else dest
+        self._check_link_endpoints(source, dest, link_class)
+        link = self._insert_link(
+            Link(
+                link_id=self._next_link_id,
+                source=source,
+                dest=dest,
+                link_class=link_class,
+                propagates=set(propagates),
+                link_type=link_type,
+                move=move,
+            )
+        )
+        if fire_hooks:
+            for hook in list(self.link_hooks):
+                hook(link)
+        return link
+
+    def _load_link(
+        self,
+        link_id: int | None,
+        source: OID,
+        dest: OID,
+        link_class: LinkClass,
+        *,
+        propagates: Iterable[str] = (),
+        link_type: str | None = None,
+        move: bool = False,
+    ) -> Link:
+        """Re-create a persisted link under its stored id (loaders only).
+
+        The link is taken as it was stored: no duplicate check and no
+        creation hooks.  A record without an id gets the next free one.
+        """
+        if link_id is None:
+            link_id = self._next_link_id
+        elif link_id in self._links:
+            raise DuplicateLinkError(f"link id {link_id} already exists")
         if source not in self._objects:
             raise UnknownOIDError(source)
         if dest not in self._objects:
             raise UnknownOIDError(dest)
-        for link_id in self._outgoing.get(source, ()):
-            existing = self._links[link_id]
+        return self._insert_link(
+            Link(
+                link_id=link_id,
+                source=source,
+                dest=dest,
+                link_class=link_class,
+                propagates=set(propagates),
+                link_type=link_type,
+                move=move,
+            )
+        )
+
+    def _check_link_endpoints(
+        self, source: OID, dest: OID, link_class: LinkClass, link_id: int | None = None
+    ) -> None:
+        """Raise unless *source* and *dest* exist and no link other than
+        *link_id* already joins them with *link_class*."""
+        if source not in self._objects:
+            raise UnknownOIDError(source)
+        if dest not in self._objects:
+            raise UnknownOIDError(dest)
+        for existing_id in self._outgoing.get(source, ()):
+            if existing_id == link_id:
+                continue
+            existing = self._links[existing_id]
             if existing.dest == dest and existing.link_class is link_class:
                 raise DuplicateLinkError(
                     f"link {source} -> {dest} ({link_class}) already exists"
                 )
-        link = Link(
-            link_id=self._next_link_id,
-            source=source,
-            dest=dest,
-            link_class=link_class,
-            propagates=set(propagates),
-            link_type=link_type,
-            move=move,
-        )
-        self._next_link_id += 1
+
+    def _insert_link(self, link: Link) -> Link:
+        link_id = link.link_id
+        self._next_link_id = max(self._next_link_id, link_id + 1)
         self._tick()
-        self._links[link.link_id] = link
-        self._outgoing.setdefault(source, set()).add(link.link_id)
-        self._incoming.setdefault(dest, set()).add(link.link_id)
-        self._indexes.link_touched(source, dest)
-        self._log_undo(lambda: self.remove_link(link.link_id))
-        if fire_hooks:
-            for hook in list(self.link_hooks):
-                hook(link)
+        self._links[link_id] = link
+        self._outgoing.setdefault(link.source, set()).add(link_id)
+        self._incoming.setdefault(link.dest, set()).add(link_id)
+        self._indexes.link_touched(link.source, link.dest)
+        self._link_changed(link_id)
+        self._log_undo(lambda: self.remove_link(link_id))
         return link
 
     def get_link(self, link_id: int) -> Link:
@@ -470,6 +542,7 @@ class MetaDatabase:
         self._incoming.get(link.dest, set()).discard(link_id)
         del self._links[link_id]
         self._indexes.link_touched(link.source, link.dest)
+        self._link_changed(link_id)
         self._log_undo(lambda: self._restore_link(link))
 
     def _restore_link(self, link: Link) -> None:
@@ -478,6 +551,7 @@ class MetaDatabase:
         self._outgoing.setdefault(link.source, set()).add(link.link_id)
         self._incoming.setdefault(link.dest, set()).add(link.link_id)
         self._indexes.link_touched(link.source, link.dest)
+        self._link_changed(link.link_id)
 
     def links(self) -> Iterator[Link]:
         return iter(self._links.values())
@@ -518,14 +592,18 @@ class MetaDatabase:
         Used when a new version of an OID is created and the blueprint
         declared the link with ``move``: the link "is automatically
         shifted from the old version to the new version" (section 3.4).
+        A retarget that would make the link parallel to another (same
+        endpoints and class) raises :class:`DuplicateLinkError`, exactly
+        as :meth:`add_link` refuses to create one.
         """
         link = self.get_link(link_id)
         new_source = source if source is not None else link.source
         new_dest = dest if dest is not None else link.dest
-        if new_source not in self._objects:
-            raise UnknownOIDError(new_source)
-        if new_dest not in self._objects:
-            raise UnknownOIDError(new_dest)
+        self._check_link_endpoints(new_source, new_dest, link.link_class, link_id)
+        # Those checks may fault shards in, and a lazy store may evict
+        # the (unchanged) link meanwhile and fault a fresh instance:
+        # mutate the one that is resident now.
+        link = self.get_link(link_id)
         old_source, old_dest = link.source, link.dest
         self._outgoing.get(link.source, set()).discard(link_id)
         self._incoming.get(link.dest, set()).discard(link_id)
@@ -534,6 +612,7 @@ class MetaDatabase:
         self._outgoing.setdefault(new_source, set()).add(link_id)
         self._incoming.setdefault(new_dest, set()).add(link_id)
         self._indexes.link_touched(old_source, old_dest, new_source, new_dest)
+        self._link_changed(link_id)
         self._log_undo(
             lambda: self.retarget_link(link_id, source=old_source, dest=old_dest)
         )

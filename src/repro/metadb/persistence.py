@@ -96,7 +96,8 @@ def database_from_dict(
     Creation hooks do **not** fire during a load: the stored state already
     reflects every template application, so re-firing would double-apply
     blueprint rules.  Secondary indexes rebuild as a side effect of the
-    normal mutators, so a loaded database is fully indexed.
+    normal mutators, so a loaded database is fully indexed.  Links keep
+    their persisted ids, exactly as the lazy SQLite store serves them.
     """
     if not isinstance(data, dict):
         raise PersistenceError("database file must contain a JSON object")
@@ -115,18 +116,16 @@ def database_from_dict(
             )
             obj.created_seq = record.get("created_seq", obj.created_seq)
             obj.checked_out_by = record.get("checked_out_by")
-        id_map: dict[int, int] = {}
         for record in data["links"]:
-            link = db.add_link(
+            db._load_link(
+                record.get("id"),
                 OID.parse(record["source"]),
                 OID.parse(record["dest"]),
                 LinkClass(record["class"]),
                 propagates=record.get("propagates", ()),
                 link_type=record.get("type"),
                 move=record.get("move", False),
-                fire_hooks=False,
             )
-            id_map[record["id"]] = link.link_id
         registry = ConfigurationRegistry(db)
         for record in data.get("configurations", ()):
             registry.save(
@@ -137,9 +136,9 @@ def database_from_dict(
                         OID.parse(text) for text in record.get("oids", ())
                     ),
                     link_ids=frozenset(
-                        id_map[link_id]
+                        link_id
                         for link_id in record.get("link_ids", ())
-                        if link_id in id_map
+                        if link_id in db._links
                     ),
                     created_clock=record.get("created_clock", 0),
                 )

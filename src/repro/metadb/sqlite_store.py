@@ -20,13 +20,24 @@ work the roadmap names.
 
 Property values are stored as ``(value_type, text)`` pairs so booleans,
 ints, floats and strings round-trip losslessly through SQL ``TEXT``.
+
+Every save runs :func:`write_back`, which writes the rows a
+:class:`~repro.metadb.store.ChangeSet` names in one transaction.  The
+lazy store's ``flush``, and a ``save`` of an eager database back to the
+file it was fully loaded from (its *anchor*, matched by device, inode,
+size and modification time), write only the recorded changes in place.
+Any other save is a full save: every row, into a fresh ``<file>.tmp``
+that is made durable and then renamed over the target, so a failed or
+killed save leaves the old file intact.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sqlite3
 from pathlib import Path
+from typing import Iterable
 
 from repro.metadb.configurations import Configuration, ConfigurationRegistry
 from repro.metadb.database import MetaDatabase
@@ -35,6 +46,7 @@ from repro.metadb.links import LinkClass
 from repro.metadb.oid import OID
 from repro.metadb.store import (
     DEFAULT_CACHE_LINEAGES,
+    ChangeSet,
     LazySqliteStore,
     _decode_value,
     _encode_value,
@@ -92,6 +104,188 @@ CREATE TABLE configurations (
 """
 
 
+def _meta_rows(db: MetaDatabase) -> list[tuple[str, str]]:
+    return [
+        ("format", str(FORMAT_VERSION)),
+        ("name", db.name),
+        # The logical clock and link-id counter are database state, not
+        # derivable from the rows: losing them on a round-trip reused
+        # link ids and regressed the clock (configurations compare
+        # created_clock).
+        ("clock", str(db.clock)),
+        ("next_link_id", str(db._next_link_id)),
+        # Journal watermark: recovery replays WAL entries strictly after
+        # this seq (see repro.network.wal).  It travels in the same
+        # transaction as the data it vouches for, so a crash between the
+        # save and the journal truncation replays only what it missed.
+        ("wal_seq", str(db.wal_seq)),
+    ]
+
+
+def _property_row(oid: OID, name: str, value) -> tuple:
+    value_type, text = _encode_value(value)
+    return (oid.block, oid.view, oid.version, name, text, value_type)
+
+
+def _link_row(link) -> tuple:
+    return (
+        link.link_id,
+        link.source.block, link.source.view, link.source.version,
+        link.dest.block, link.dest.view, link.dest.version,
+        link.link_class.value,
+        json.dumps(sorted(link.propagates)),
+        link.link_type,
+        1 if link.move else 0,
+    )
+
+
+def configuration_rows(registry: ConfigurationRegistry | None) -> list[tuple]:
+    """The ``configurations`` table rows for *registry* (none for None)."""
+    if registry is None:
+        return []
+    rows = []
+    for name in registry.names():
+        config = registry.get(name)
+        rows.append(
+            (
+                config.name,
+                config.description,
+                config.created_clock,
+                json.dumps(sorted(oid.wire() for oid in config.oids)),
+                json.dumps(sorted(config.link_ids)),
+            )
+        )
+    return rows
+
+
+_OID_WHERE = "block = ? AND view = ? AND version = ?"
+
+
+def write_back(
+    connection: sqlite3.Connection,
+    db: MetaDatabase,
+    changes: ChangeSet,
+    configurations: Iterable[tuple] | None,
+) -> None:
+    """Write the rows *changes* names, in one SQL transaction.
+
+    Upserts or deletes each changed object, property and link row from
+    the database's current in-memory state, refreshes ``meta`` (clock,
+    next link id, journal watermark) and, unless *configurations* is
+    None, replaces the ``configurations`` table with those rows.  Reads
+    go straight to the resident maps (``dict.get``), never faulting: a
+    lazy store pins every shard with changes.  The caller clears
+    *changes* once this returns; a failure rolls the transaction back
+    and leaves them recorded for the next write-back.
+    """
+    objects, links = db._objects, db._links
+    cleared, removed, object_rows, property_rows = [], [], [], []
+    for oid in changes.objects:
+        key = (oid.block, oid.view, oid.version)
+        cleared.append(key)
+        obj = dict.get(objects, oid)
+        if obj is None:
+            removed.append(key)
+        else:
+            object_rows.append((*key, obj.created_seq, obj.checked_out_by))
+            for name, value in obj.properties.items():
+                property_rows.append(_property_row(oid, name, value))
+    dropped = []
+    for oid, name in changes.properties:
+        if oid in changes.objects:
+            continue  # rewritten whole above
+        obj = dict.get(objects, oid)
+        if obj is not None and name in obj.properties:
+            property_rows.append(_property_row(oid, name, obj.properties[name]))
+        else:
+            dropped.append((oid.block, oid.view, oid.version, name))
+    link_rows, unlinked = [], []
+    for link_id in changes.links:
+        link = dict.get(links, link_id)
+        if link is None:
+            unlinked.append((link_id,))
+        else:
+            link_rows.append(_link_row(link))
+    with connection:
+        connection.executemany(
+            "INSERT OR REPLACE INTO meta VALUES (?, ?)", _meta_rows(db)
+        )
+        connection.executemany(f"DELETE FROM properties WHERE {_OID_WHERE}", cleared)
+        connection.executemany(f"DELETE FROM objects WHERE {_OID_WHERE}", removed)
+        connection.executemany(
+            f"DELETE FROM properties WHERE {_OID_WHERE} AND name = ?", dropped
+        )
+        connection.executemany(
+            "INSERT OR REPLACE INTO objects VALUES (?, ?, ?, ?, ?)", object_rows
+        )
+        connection.executemany(
+            "INSERT OR REPLACE INTO properties VALUES (?, ?, ?, ?, ?, ?)",
+            property_rows,
+        )
+        connection.executemany("DELETE FROM links WHERE id = ?", unlinked)
+        connection.executemany(
+            "INSERT OR REPLACE INTO links VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+            link_rows,
+        )
+        if configurations is not None:
+            connection.execute("DELETE FROM configurations")
+            connection.executemany(
+                "INSERT INTO configurations VALUES (?, ?, ?, ?, ?)", configurations
+            )
+
+
+class _Anchor:
+    """The SQLite file an eager database mirrors, and the write-back
+    connection kept open between saves.
+
+    The file is identified by ``(st_dev, st_ino, st_size, st_mtime_ns)``
+    as of the last load or save through this anchor: a different inode
+    means the path was replaced, a different size or time that someone
+    else wrote to it — either way the recorded changes no longer
+    describe the difference, and the next save must rewrite in full.
+    """
+
+    def __init__(self, path: Path) -> None:
+        self.path = path
+        self.identity = self._identity(path)
+        self.connection: sqlite3.Connection | None = None
+
+    @staticmethod
+    def _identity(path: Path) -> tuple[int, int, int, int] | None:
+        try:
+            stat = os.stat(path)
+        except OSError:
+            return None
+        return (stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns)
+
+    def holds(self, path: Path) -> bool:
+        return self.identity is not None and self._identity(path) == self.identity
+
+    def write_back(self, db: MetaDatabase, changes: ChangeSet, registry) -> None:
+        if self.connection is None:
+            # The server checkpoints from whichever thread holds its
+            # write lock; saves are serialised by that lock.
+            self.connection = sqlite3.connect(self.path, check_same_thread=False)
+        write_back(self.connection, db, changes, configuration_rows(registry))
+        changes.clear()
+        self.identity = self._identity(self.path)
+
+    def close(self) -> None:
+        if self.connection is not None:
+            self.connection.close()
+            self.connection = None
+
+
+def _set_anchor(db: MetaDatabase, anchor: _Anchor) -> None:
+    """Anchor an eager *db* to a file that holds exactly its state, and
+    record its changes from here on."""
+    store = db.store
+    if store.anchor is not None:
+        store.anchor.close()
+    store.anchor = anchor
+    store.changes = ChangeSet()
+
+
 class SqliteBackend:
     """The SQLite store (see module docstring)."""
 
@@ -110,93 +304,58 @@ class SqliteBackend:
     ) -> Path:
         path = Path(path)
         store = db.store
-        if isinstance(store, LazySqliteStore) and (
-            path.exists() and path.resolve() == store.path.resolve()
-        ):
-            # Saving a lazy database back to its own backing file is an
-            # incremental write-back of the dirty shards, not a full
-            # rewrite — rewriting would first fault the whole database in.
-            store.flush(registry)
+        if store.lazy:
+            if path.exists() and path.resolve() == store.path.resolve():
+                # Saving a lazy database back to its own backing file
+                # writes back its changes; a full rewrite would first
+                # fault the whole database in.
+                store.flush(registry)
+                return path
+        elif store.anchor is not None and store.anchor.holds(path):
+            store.anchor.write_back(db, store.changes, registry)
             return path
-        path.parent.mkdir(parents=True, exist_ok=True)
-        if path.exists():
-            path.unlink()  # full rewrite, like the JSON backend
-        connection = sqlite3.connect(path)
-        try:
-            connection.executescript(_SCHEMA)
-            connection.executemany(
-                "INSERT INTO meta (key, value) VALUES (?, ?)",
-                [
-                    ("format", str(FORMAT_VERSION)),
-                    ("name", db.name),
-                    # The logical clock and link-id counter are database
-                    # state, not derivable from the rows: losing them on
-                    # a round-trip reused link ids and regressed the
-                    # clock (configurations compare created_clock).
-                    ("clock", str(db.clock)),
-                    ("next_link_id", str(db._next_link_id)),
-                    # Journal watermark: recovery replays WAL entries
-                    # strictly after this seq (see repro.network.wal).
-                    ("wal_seq", str(db.wal_seq)),
-                ],
-            )
-            object_rows = []
-            property_rows = []
-            for obj in sorted(db.objects(), key=lambda o: o.oid.sort_key()):
-                oid = obj.oid
-                object_rows.append(
-                    (oid.block, oid.view, oid.version, obj.created_seq,
-                     obj.checked_out_by)
-                )
-                for name, value in sorted(obj.properties.items()):
-                    value_type, text = _encode_value(value)
-                    property_rows.append(
-                        (oid.block, oid.view, oid.version, name, text, value_type)
-                    )
-            connection.executemany(
-                "INSERT INTO objects VALUES (?, ?, ?, ?, ?)", object_rows
-            )
-            connection.executemany(
-                "INSERT INTO properties VALUES (?, ?, ?, ?, ?, ?)", property_rows
-            )
-            link_rows = []
-            for link in sorted(db.links(), key=lambda l: l.link_id):
-                link_rows.append(
-                    (
-                        link.link_id,
-                        link.source.block, link.source.view, link.source.version,
-                        link.dest.block, link.dest.view, link.dest.version,
-                        link.link_class.value,
-                        json.dumps(sorted(link.propagates)),
-                        link.link_type,
-                        1 if link.move else 0,
-                    )
-                )
-            connection.executemany(
-                "INSERT INTO links VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                link_rows,
-            )
-            if registry is not None:
-                config_rows = []
-                for name in registry.names():
-                    config = registry.get(name)
-                    config_rows.append(
-                        (
-                            config.name,
-                            config.description,
-                            config.created_clock,
-                            json.dumps(sorted(oid.wire() for oid in config.oids)),
-                            json.dumps(sorted(config.link_ids)),
-                        )
-                    )
-                connection.executemany(
-                    "INSERT INTO configurations VALUES (?, ?, ?, ?, ?)",
-                    config_rows,
-                )
-            connection.commit()
-        finally:
-            connection.close()
+        self._save_full(db, path, registry)
+        if not store.lazy and store.anchor is not None:
+            _set_anchor(db, _Anchor(path))
         return path
+
+    def _save_full(
+        self,
+        db: MetaDatabase,
+        path: Path,
+        registry: ConfigurationRegistry | None,
+    ) -> None:
+        """Rewrite *path* from scratch, atomically.
+
+        The new file is built and committed as ``<path>.tmp``, fsync'd,
+        then renamed over *path*: a save that fails or is killed partway
+        leaves the old file loadable (the journal only covers entries
+        since the last checkpoint, so losing the file would lose data).
+        """
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_name(path.name + ".tmp")
+        tmp.unlink(missing_ok=True)  # leftover of an earlier failed save
+        try:
+            connection = sqlite3.connect(tmp)
+            try:
+                connection.executescript(_SCHEMA)
+                # Into an empty file, "everything changed" is the whole
+                # database: the one write-back routine writes it.
+                everything = ChangeSet()
+                everything.objects.update(db.oids())
+                everything.links.update(link.link_id for link in db.links())
+                write_back(connection, db, everything, configuration_rows(registry))
+            finally:
+                connection.close()
+            fd = os.open(tmp, os.O_RDONLY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     # ------------------------------------------------------------------
     # load
@@ -224,13 +383,21 @@ class SqliteBackend:
         path = Path(path)
         if not path.exists():
             raise PersistenceError(f"no database file at {path}")
+        # Identify the file before reading it: a write racing the load
+        # then fails the anchor check and forces a full save.
+        anchor = _Anchor(path) if blocks is None and views is None else None
         connection = sqlite3.connect(path)
         try:
-            return self._load(connection, blocks=blocks, views=views)
+            db, registry = self._load(connection, blocks=blocks, views=views)
         except sqlite3.DatabaseError as exc:
             raise PersistenceError(f"corrupt database file {path}: {exc}") from exc
         finally:
             connection.close()
+        if anchor is not None:
+            # A partial load is never anchored: saving it back must not
+            # look like the whole database.
+            _set_anchor(db, anchor)
+        return db, registry
 
     def _load(
         self,
@@ -267,7 +434,6 @@ class SqliteBackend:
             if obj is not None:
                 obj.set(name, _decode_value(value_type, text))
 
-        id_map: dict[int, int] = {}
         link_rows = connection.execute(
             "SELECT id, src_block, src_view, src_version, "
             "dst_block, dst_view, dst_version, class, propagates, type, move "
@@ -279,16 +445,15 @@ class SqliteBackend:
             dest = OID(tb, tv, tn)
             if source not in db or dest not in db:
                 continue  # endpoint outside the partial-load window
-            link = db.add_link(
+            db._load_link(
+                link_id,
                 source,
                 dest,
                 LinkClass(link_class),
                 propagates=json.loads(propagates),
                 link_type=link_type,
                 move=bool(move),
-                fire_hooks=False,
             )
-            id_map[link_id] = link.link_id
 
         registry = ConfigurationRegistry(db)
         config_rows = connection.execute(
@@ -302,9 +467,9 @@ class SqliteBackend:
                 if oid in db
             )
             link_ids = frozenset(
-                id_map[link_id]
+                link_id
                 for link_id in json.loads(link_ids_text)
-                if link_id in id_map
+                if link_id in db._links
             )
             registry.save(
                 Configuration(

@@ -37,9 +37,12 @@ lean on these):
    applies to index/pushdown-served workloads, which is where the
    O(window) footprint matters.
 
-Write-back is dirty-tracking: ``flush``/``close`` rewrite only the
-shards and links mutated since load (plus the ``meta`` bookkeeping:
-logical clock, next link id), in one SQL transaction.
+Both stores hold a :class:`ChangeSet`: the object, property and link
+rows changed since the last write-back.  The database's mutators and
+bag observers record into it, and one routine
+(:func:`repro.metadb.sqlite_store.write_back`) writes exactly those rows
+back in one SQL transaction — on ``flush``/``close`` for the lazy store,
+and on a ``save_database`` to the file an eager database was loaded from.
 """
 
 from __future__ import annotations
@@ -63,24 +66,71 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 DEFAULT_CACHE_LINEAGES = 1024
 
 
+class ChangeSet:
+    """The rows changed since the last write-back, keyed the way SQLite
+    stores them.
+
+    * ``properties`` — ``(oid, name)`` pairs: upsert the property row,
+      or delete it when the name is gone from the bag;
+    * ``objects`` — OIDs created, removed, restored by a rollback, or
+      touched (check-out): rewrite the object row and all its property
+      rows, or delete them when the object is gone;
+    * ``links`` — link ids added, removed, restored or retargeted:
+      upsert the link row, or delete it.
+
+    Write-back reads the current in-memory state for every key, so a
+    change that was later undone (a rolled-back transaction) costs one
+    redundant row write, never a wrong one.  Keys hold the database's
+    own OID and name objects.  ``shards`` (lazy store only) collects
+    the ``(block, view)`` lineages any key touches: their disk rows are
+    stale, so the lazy store pins them against eviction.
+    """
+
+    __slots__ = ("properties", "objects", "links", "shards")
+
+    def __init__(self, *, track_shards: bool = False) -> None:
+        self.properties: set[tuple[OID, str]] = set()
+        self.objects: set[OID] = set()
+        self.links: set[int] = set()
+        self.shards: set[tuple[str, str]] | None = set() if track_shards else None
+
+    def object_changed(self, oid: OID) -> None:
+        self.objects.add(oid)
+        if self.shards is not None:
+            self.shards.add(oid.lineage)
+
+    def property_changed(self, oid: OID, name: str) -> None:
+        self.properties.add((oid, name))
+        if self.shards is not None:
+            self.shards.add(oid.lineage)
+
+    def clear(self) -> None:
+        """Forget everything (call only once the write-back committed)."""
+        self.properties.clear()
+        self.objects.clear()
+        self.links.clear()
+        if self.shards is not None:
+            self.shards.clear()
+
+
 @runtime_checkable
 class ObjectStore(Protocol):
     """What sits between a :class:`MetaDatabase` and its five dicts.
 
     ``bind`` is called once from ``MetaDatabase.__post_init__``; a lazy
     store replaces the database's maps with faulting views and installs
-    itself as the index registry's pushdown provider.  ``object_dirty``
-    is the write-notification channel (property mutations and workspace
-    check-outs route through it); ``flush``/``close`` write dirty state
-    back.  The in-memory store implements everything as no-ops.
+    itself as the index registry's pushdown provider.  ``changes`` is
+    the :class:`ChangeSet` the database records its mutations into, or
+    None when nothing needs recording.  ``flush``/``close`` write a lazy
+    store's changes back; an eager database writes back through
+    ``save_database``.
     """
 
     name: str
     lazy: bool
+    changes: ChangeSet | None
 
     def bind(self, db: "MetaDatabase") -> None: ...
-
-    def object_dirty(self, oid: OID) -> None: ...
 
     def flush(self, registry: "ConfigurationRegistry | None" = None) -> None: ...
 
@@ -90,25 +140,31 @@ class ObjectStore(Protocol):
 class InMemoryStore:
     """The default store: the database's own dicts, unchanged.
 
-    ``bind`` deliberately does nothing — the eager path must stay
-    byte-for-byte identical to the pre-protocol behaviour, including
-    the absence of any per-mutation store call overhead.
+    ``bind`` does nothing, and ``changes`` stays None — so a database
+    built in memory pays no per-mutation recording — unless the SQLite
+    backend anchors it to the file it was fully loaded from
+    (``anchor``); a ``save_database`` to that same file then writes
+    back only the recorded changes.
     """
 
     name = "memory"
     lazy = False
 
-    def bind(self, db: "MetaDatabase") -> None:
-        pass
+    def __init__(self) -> None:
+        self.changes: ChangeSet | None = None
+        #: The SQLite file this database mirrors (set by the backend).
+        self.anchor = None
 
-    def object_dirty(self, oid: OID) -> None:
+    def bind(self, db: "MetaDatabase") -> None:
         pass
 
     def flush(self, registry: "ConfigurationRegistry | None" = None) -> None:
         pass
 
     def close(self) -> None:
-        pass
+        """Release the anchor's write-back connection, if one is open."""
+        if self.anchor is not None:
+            self.anchor.close()
 
 
 class _FaultingMap(dict):
@@ -120,10 +176,10 @@ class _FaultingMap(dict):
     ``__len__`` reports the *logical* size via *length* when given —
     resident plus on-disk — without materialising anything.
 
-    Mutations through the normal mapping protocol invoke the *on_set* /
-    *on_del* callbacks so the store can track dirt and residency; the
-    store's own fault path writes through ``dict.__setitem__`` and
-    therefore never re-enters these hooks.
+    Insertions through the normal mapping protocol invoke the *on_set*
+    callback so the store can track residency; the store's own fault
+    path writes through ``dict.__setitem__`` and therefore never
+    re-enters it.
     """
 
     def __init__(
@@ -132,14 +188,12 @@ class _FaultingMap(dict):
         fault_all: Callable[[], None],
         length: Callable[[], int] | None = None,
         on_set: Callable[[object, object], None] | None = None,
-        on_del: Callable[[object], None] | None = None,
     ) -> None:
         super().__init__()
         self._fault_key = fault_key
         self._fault_all = fault_all
         self._length = length
         self._on_set = on_set
-        self._on_del = on_del
 
     # -- lookups fault --------------------------------------------------
 
@@ -176,7 +230,7 @@ class _FaultingMap(dict):
             return default[0]
         raise KeyError(key)
 
-    # -- mutations notify ------------------------------------------------
+    # -- mutations ------------------------------------------------------
 
     def __setitem__(self, key, value) -> None:
         if self._on_set is not None:
@@ -186,8 +240,6 @@ class _FaultingMap(dict):
     def __delitem__(self, key) -> None:
         if key not in self:  # faulting containment
             raise KeyError(key)
-        if self._on_del is not None:
-            self._on_del(key)
         dict.__delitem__(self, key)
 
     # -- whole-map operations materialise -------------------------------
@@ -295,9 +347,9 @@ class LazySqliteStore:
             behaves as absent, exactly like the eager
             ``SqliteBackend.load_partial`` semantics (links need both
             endpoints inside the window).
-        cache_lineages: LRU bound on resident *clean* lineages.  Dirty
-            shards are pinned until :meth:`flush`; a full scan pins
-            everything (see module docstring).
+        cache_lineages: LRU bound on resident *clean* lineages.  Shards
+            with recorded changes are pinned until :meth:`flush`; a full
+            scan pins everything (see module docstring).
     """
 
     name = "lazy-sqlite"
@@ -325,12 +377,10 @@ class LazySqliteStore:
         self._io_lock = threading.RLock()
         self.db: "MetaDatabase | None" = None
         self._closed = False
-        # residency / dirt -------------------------------------------------
+        # residency / changes ----------------------------------------------
         self._resident: dict[tuple[str, str], None] = {}  # insertion = LRU order
-        self._dirty_lineages: set[tuple[str, str]] = set()
+        self.changes = ChangeSet(track_shards=True)
         self._adj_resident: set[OID] = set()
-        self._dirty_links: set[int] = set()
-        self._deleted_links: set[int] = set()
         self._disk_link_ids_loaded: set[int] = set()
         self._all_objects = False
         self._all_links = False
@@ -351,7 +401,6 @@ class LazySqliteStore:
             self._fault_all_objects,
             length=self._object_count,
             on_set=self._object_set,
-            on_del=self._object_del,
         )
         self._lineages = _FaultingMap(
             self._fault_lineage,
@@ -363,8 +412,6 @@ class LazySqliteStore:
             self._fault_link,
             self._fault_all_links,
             length=self._link_count,
-            on_set=self._link_set,
-            on_del=self._link_del,
         )
         self._outgoing = _FaultingMap(self._fault_adjacency, self._fault_all_links)
         self._incoming = _FaultingMap(self._fault_adjacency, self._fault_all_links)
@@ -404,33 +451,19 @@ class LazySqliteStore:
         return " AND ".join(clauses), params
 
     # ------------------------------------------------------------------
-    # mutation callbacks (wired through _FaultingMap)
+    # residency callbacks (wired through _FaultingMap)
     # ------------------------------------------------------------------
+    #
+    # Change recording is the database's job (it writes into
+    # ``self.changes``); these only keep residency current when a
+    # mutation creates a lineage that was never faulted in.
 
     def _object_set(self, oid: OID, obj: MetaObject) -> None:
-        lineage = oid.lineage
-        if lineage not in self._resident:
-            self._resident[lineage] = None
-        self._dirty_lineages.add(lineage)
-
-    def _object_del(self, oid: OID) -> None:
-        self._dirty_lineages.add(oid.lineage)
+        self._lineage_set(oid.lineage, None)
 
     def _lineage_set(self, lineage: tuple[str, str], versions) -> None:
         if lineage not in self._resident:
             self._resident[lineage] = None
-
-    def _link_set(self, link_id: int, link: Link) -> None:
-        self._dirty_links.add(link_id)
-        self._deleted_links.discard(link_id)
-
-    def _link_del(self, link_id: int) -> None:
-        self._dirty_links.discard(link_id)
-        self._deleted_links.add(link_id)
-
-    def object_dirty(self, oid: OID) -> None:
-        """Property mutation / check-out notification from the database."""
-        self._dirty_lineages.add(oid.lineage)
 
     # ------------------------------------------------------------------
     # faulting
@@ -519,13 +552,15 @@ class LazySqliteStore:
     )
 
     def _admit_link_row(self, row) -> Link | None:
-        """Materialise one disk link row; None when outside the window,
-        deleted this session, or superseded by a resident instance."""
+        """Materialise one disk link row; the resident instance when
+        there is one, None when outside the window or removed since the
+        last write-back (changed links are pinned, so a changed id that
+        is not resident is a removed one)."""
         link_id = row[0]
-        if link_id in self._deleted_links:
-            return None
         if dict.__contains__(self._links, link_id):
             return dict.__getitem__(self._links, link_id)
+        if link_id in self.changes.links:
+            return None
         if not (self._in_window(row[1], row[2]) and self._in_window(row[4], row[5])):
             return None
         link = self._build_link(row)
@@ -535,8 +570,8 @@ class LazySqliteStore:
 
     @_locked
     def _fault_link(self, link_id: int) -> None:
-        if not isinstance(link_id, int) or link_id in self._deleted_links:
-            return
+        if not isinstance(link_id, int) or link_id in self.changes.links:
+            return  # not resident yet changed: removed since the write-back
         row = self._require_open().execute(
             f"SELECT {self._LINK_COLUMNS} FROM links WHERE id = ?", (link_id,)
         ).fetchone()
@@ -569,9 +604,10 @@ class LazySqliteStore:
                 out_ids.add(link.link_id)
             if link.dest == oid:
                 in_ids.add(link.link_id)
-        # Dirty links may have no disk row yet (created or retargeted
-        # since the last flush): recover membership from the residents.
-        for link_id in self._dirty_links:
+        # Changed links may have no current disk row (created or
+        # retargeted since the last flush): recover membership from the
+        # residents.
+        for link_id in self.changes.links:
             link = dict.get(self._links, link_id)
             if link is None:
                 continue
@@ -612,8 +648,8 @@ class LazySqliteStore:
         for lineage in list(self._resident):
             if len(self._resident) <= self.cache_lineages:
                 break
-            if lineage in self._dirty_lineages:
-                continue  # dirty shards are pinned until flush
+            if lineage in self.changes.shards:
+                continue  # changed shards are pinned until flush
             if lineage == protect:
                 # Never evict the shard being faulted in right now: its
                 # caller has not read the admitted objects yet (with
@@ -643,16 +679,17 @@ class LazySqliteStore:
         """Page out *oid*'s adjacency entries and any clean incident
         links, so link-dense workloads stay O(window) too.
 
-        Dirty and deleted links are pinned (their disk rows are stale);
-        a clean link is disk-backed by definition, so dropping it is
+        Changed links are pinned (their disk rows are stale); an
+        unchanged link is disk-backed by definition, so dropping it is
         safe even while the other endpoint's adjacency set still names
         its id — ``_links`` refaults individual links by id on access.
         """
         self._adj_resident.discard(oid)
         out_ids = dict.pop(self._outgoing, oid, None) or set()
         in_ids = dict.pop(self._incoming, oid, None) or set()
+        changed = self.changes.links
         for link_id in out_ids | in_ids:
-            if link_id in self._dirty_links or link_id in self._deleted_links:
+            if link_id in changed:
                 continue
             if dict.__contains__(self._links, link_id):
                 dict.__delitem__(self._links, link_id)
@@ -854,104 +891,31 @@ class LazySqliteStore:
 
     @_locked
     def flush(self, registry: "ConfigurationRegistry | None" = None) -> None:
-        """Write dirty shards, links and bookkeeping back to the file.
+        """Write the recorded changes and the ``meta`` bookkeeping back,
+        in one SQL transaction (see ``sqlite_store.write_back``).
 
-        Runs in one SQL transaction.  Clean shards are untouched; the
-        ``meta`` table's logical clock and next-link-id always refresh
-        so a reopened store never reuses ids or regresses the clock.
+        Unchanged shards are untouched; the logical clock, next link id
+        and journal watermark always refresh, so a reopened store never
+        reuses ids or regresses the clock.
         """
-        import json
+        from repro.metadb.sqlite_store import configuration_rows, write_back
 
         connection = self._require_open()
-        db = self.db
-        with connection:
-            connection.executemany(
-                "INSERT INTO meta (key, value) VALUES (?, ?) "
-                "ON CONFLICT(key) DO UPDATE SET value = excluded.value",
-                [
-                    ("clock", str(db.clock)),
-                    ("next_link_id", str(db._next_link_id)),
-                    ("name", db.name),
-                    # Journal watermark: travels with the same flush
-                    # transaction as the data it vouches for, so a crash
-                    # between flush and journal truncation replays only
-                    # the entries the flush did not cover.
-                    ("wal_seq", str(db.wal_seq)),
-                ],
-            )
-            for lineage in sorted(self._dirty_lineages):
-                block, view = lineage
-                connection.execute(
-                    "DELETE FROM objects WHERE block = ? AND view = ?", lineage
-                )
-                connection.execute(
-                    "DELETE FROM properties WHERE block = ? AND view = ?", lineage
-                )
-                for version in dict.get(self._lineages, lineage, []):
-                    obj = dict.get(self._objects, OID(block, view, version))
-                    if obj is None:
-                        continue
-                    connection.execute(
-                        "INSERT INTO objects VALUES (?, ?, ?, ?, ?)",
-                        (block, view, version, obj.created_seq, obj.checked_out_by),
-                    )
-                    for name, value in sorted(obj.properties.items()):
-                        value_type, text = _encode_value(value)
-                        connection.execute(
-                            "INSERT INTO properties VALUES (?, ?, ?, ?, ?, ?)",
-                            (block, view, version, name, text, value_type),
-                        )
-            touched = sorted(self._dirty_links | self._deleted_links)
-            for link_id in touched:
-                connection.execute("DELETE FROM links WHERE id = ?", (link_id,))
-            for link_id in sorted(self._dirty_links):
-                link = dict.get(self._links, link_id)
-                if link is None:
-                    continue
-                connection.execute(
-                    "INSERT INTO links VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                    (
-                        link.link_id,
-                        link.source.block, link.source.view, link.source.version,
-                        link.dest.block, link.dest.view, link.dest.version,
-                        link.link_class.value,
-                        json.dumps(sorted(link.propagates)),
-                        link.link_type,
-                        1 if link.move else 0,
-                    ),
-                )
-            if registry is not None and (
-                self.blocks is not None or self.views is not None
-            ):
-                # A windowed session only ever saw window-intersected
-                # configurations; rewriting the table from them would
-                # silently strip every out-of-window member.  Leave the
-                # stored configurations untouched.
-                registry = None
-            if registry is not None:
-                connection.execute("DELETE FROM configurations")
-                for name in registry.names():
-                    config = registry.get(name)
-                    connection.execute(
-                        "INSERT INTO configurations VALUES (?, ?, ?, ?, ?)",
-                        (
-                            config.name,
-                            config.description,
-                            config.created_clock,
-                            json.dumps(sorted(oid.wire() for oid in config.oids)),
-                            json.dumps(sorted(config.link_ids)),
-                        ),
-                    )
-        # The disk now mirrors every flushed link; account it as loaded.
-        self._disk_link_ids_loaded |= {
-            link_id
-            for link_id in self._dirty_links
-            if dict.__contains__(self._links, link_id)
-        }
-        self._disk_link_ids_loaded -= self._deleted_links
-        self._dirty_links.clear()
-        self._deleted_links.clear()
-        self._dirty_lineages.clear()
+        # A windowed session only ever saw window-intersected
+        # configurations; rewriting the table from them would silently
+        # strip every out-of-window member.  Leave them untouched.
+        windowed = self.blocks is not None or self.views is not None
+        configurations = (
+            None if registry is None or windowed else configuration_rows(registry)
+        )
+        write_back(connection, self.db, self.changes, configurations)
+        # The disk now mirrors every changed link; account it as loaded.
+        for link_id in self.changes.links:
+            if dict.__contains__(self._links, link_id):
+                self._disk_link_ids_loaded.add(link_id)
+            else:
+                self._disk_link_ids_loaded.discard(link_id)
+        self.changes.clear()
 
     @_locked
     def close(self) -> None:
@@ -971,7 +935,7 @@ class LazySqliteStore:
             "resident_objects": self._objects.resident_len(),
             "resident_lineages": len(self._resident),
             "resident_links": self._links.resident_len(),
-            "dirty_lineages": len(self._dirty_lineages),
+            "dirty_lineages": len(self.changes.shards),
             "faults": self.faults,
             "evictions": self.evictions,
         }

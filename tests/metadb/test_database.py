@@ -198,6 +198,18 @@ class TestLinks:
         with pytest.raises(UnknownOIDError):
             db.retarget_link(link.link_id, dest=OID("zz", "v", 1))
 
+    def test_retarget_refuses_a_parallel_link(self, db):
+        a = db.create_object(OID("a", "v", 1))
+        b1 = db.create_object(OID("b", "v", 1))
+        b2 = db.create_object(OID("b", "v", 2))
+        moving = db.add_link(a.oid, b1.oid)
+        db.add_link(a.oid, b2.oid)
+        with pytest.raises(DuplicateLinkError):
+            db.retarget_link(moving.link_id, dest=b2.oid)
+        assert moving.dest == b1.oid
+        assert [l.link_id for l in db.incoming(b1.oid)] == [moving.link_id]
+        db.retarget_link(moving.link_id, dest=b1.oid)  # onto itself: allowed
+
 
 class TestHooks:
     def test_object_hook_fires_after_indexing(self, db):

@@ -6,6 +6,10 @@ import sqlite3
 
 import pytest
 
+from repro.core.blueprint import Blueprint
+from repro.core.engine import BlueprintEngine
+from repro.core.policy import PhasePolicy, ProjectPhase, loosen_blueprint
+from repro.flows.generators import chain_blueprint_source
 from repro.metadb.configurations import Configuration, ConfigurationRegistry
 from repro.metadb.database import MetaDatabase
 from repro.metadb.errors import PersistenceError
@@ -295,3 +299,161 @@ class TestPersistedCounters:
         assert lazy.add_link(
             OID("mem", "rtl", 1), OID("cpu", "gate", 1)
         ).link_id == max_id + 1
+
+
+class TestAtomicSave:
+    def test_failed_full_save_keeps_the_old_file(self, db, tmp_path, monkeypatch):
+        import repro.metadb.sqlite_store as sqlite_store
+
+        path = save_database(db, tmp_path / "db.sqlite")
+        before = database_to_dict(load_database(path)[0])
+        db.get(OID("cpu", "rtl", 1)).set("owner", "zoe")
+        calls = []
+        real_encode = sqlite_store._encode_value
+
+        def failing_encode(value):
+            calls.append(value)
+            if len(calls) == 3:
+                raise RuntimeError("disk full")
+            return real_encode(value)
+
+        monkeypatch.setattr(sqlite_store, "_encode_value", failing_encode)
+        with pytest.raises(RuntimeError, match="disk full"):
+            save_database(db, path)  # an in-memory database: a full save
+        monkeypatch.undo()
+        assert database_to_dict(load_database(path)[0]) == before
+        assert not (tmp_path / "db.sqlite.tmp").exists()
+
+    def test_full_save_replaces_the_file(self, db, tmp_path):
+        path = save_database(db, tmp_path / "db.sqlite")
+        inode = path.stat().st_ino
+        save_database(db, path)
+        assert path.stat().st_ino != inode  # renamed over, not rewritten
+        assert load_database(path)[0].object_count == db.object_count
+
+
+class TestAnchoredWriteBack:
+    """An eager database fully loaded from SQLite writes back only its
+    recorded changes when saved to that same file."""
+
+    def test_in_memory_database_records_nothing(self, db, tmp_path):
+        assert db.store.changes is None
+        save_database(db, tmp_path / "db.sqlite")
+        assert db.store.changes is None  # saving does not anchor it
+
+    def test_partial_load_is_not_anchored(self, db, tmp_path):
+        path = save_database(db, tmp_path / "db.sqlite")
+        partial, _ = load_database(path, blocks={"cpu"})
+        assert partial.store.changes is None
+
+    def test_save_back_writes_in_place(self, db, registry, tmp_path):
+        path = save_database(db, tmp_path / "db.sqlite", registry)
+        loaded, loaded_registry = load_database(path)
+        changes = loaded.store.changes
+        loaded.get(OID("cpu", "rtl", 1)).set("owner", "zoe")
+        loaded.get(OID("cpu", "rtl", 1)).properties.delete("score")
+        loaded.create_object(OID("io", "rtl", 1), {"uptodate": False})
+        loaded.remove_link(2)
+        loaded.wal_seq = 9
+        assert changes.properties == {
+            (OID("cpu", "rtl", 1), "owner"), (OID("cpu", "rtl", 1), "score"),
+        }
+        assert changes.objects == {OID("io", "rtl", 1)}
+        assert changes.links == {2}
+        inode = path.stat().st_ino
+        save_database(loaded, path, loaded_registry)
+        assert path.stat().st_ino == inode
+        assert not (changes.properties or changes.objects or changes.links)
+        again, again_registry = load_database(path)
+        assert database_to_dict(again, again_registry) == database_to_dict(
+            loaded, loaded_registry
+        )
+        assert again.wal_seq == 9
+
+    def test_replaced_file_gets_a_full_rewrite(self, db, tmp_path):
+        path = save_database(db, tmp_path / "db.sqlite")
+        loaded, _ = load_database(path)
+        other = MetaDatabase(name="other")
+        other.create_object(OID("x", "v", 1))
+        save_database(other, path)  # replaced behind loaded's back
+        loaded.get(OID("mem", "rtl", 1)).set("uptodate", False)
+        save_database(loaded, path)
+        assert database_to_dict(load_database(path)[0]) == database_to_dict(loaded)
+
+    def test_saving_elsewhere_re_anchors(self, db, tmp_path):
+        first = save_database(db, tmp_path / "a.sqlite")
+        loaded, _ = load_database(first)
+        loaded.get(OID("mem", "rtl", 1)).set("uptodate", False)
+        second = save_database(loaded, tmp_path / "b.sqlite")
+        assert loaded.store.anchor.path == second
+        loaded.get(OID("cpu", "gate", 1)).set("uptodate", True)
+        inode = second.stat().st_ino
+        save_database(loaded, second)
+        assert second.stat().st_ino == inode
+        save_database(loaded, first)  # no longer the anchor: full rewrite
+        for path in (first, second):
+            assert database_to_dict(load_database(path)[0]) == database_to_dict(
+                loaded
+            )
+
+
+def test_link_ids_with_gaps_load_identically(tmp_path):
+    """Eager JSON, eager SQLite and lazy SQLite serve the stored ids."""
+    db = MetaDatabase()
+    for name in "abcd":
+        db.create_object(OID(name, "v", 1))
+    doomed = db.add_link(OID("a", "v", 1), OID("b", "v", 1))
+    db.add_link(OID("b", "v", 1), OID("c", "v", 1))
+    db.add_link(OID("c", "v", 1), OID("d", "v", 1))
+    db.remove_link(doomed.link_id)
+    registry = ConfigurationRegistry(db)
+    registry.save(
+        Configuration(name="snap", oids=frozenset(db.oids()),
+                      link_ids=frozenset([2, 3]), created_clock=db.clock)
+    )
+    expected = sorted((l.link_id, l.source, l.dest) for l in db.links())
+    assert [row[0] for row in expected] == [2, 3]
+    json_path = save_database(db, tmp_path / "db.json", registry)
+    sqlite_path = save_database(db, tmp_path / "db.sqlite", registry)
+    for loaded, loaded_registry in (
+        load_database(json_path),
+        load_database(sqlite_path),
+        load_database(sqlite_path, lazy=True),
+    ):
+        assert sorted((l.link_id, l.source, l.dest) for l in loaded.links()) == expected
+        assert loaded_registry.get("snap").link_ids == frozenset([2, 3])
+        assert loaded.add_link(OID("d", "v", 1), OID("a", "v", 1)).link_id == 4
+
+
+@pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+def test_phase_switch_propagate_lists_are_written_back(lazy, tmp_path):
+    """A phase switch re-derives PROPAGATE lists by editing links in
+    place; the write-back must store the new lists, and a lazy store
+    must not evict an edited link and fault its old row back."""
+    strict = Blueprint.from_source(chain_blueprint_source(3))
+    loose = loosen_blueprint(strict, block_events={"outofdate"})
+    db = MetaDatabase()
+    BlueprintEngine(db, strict)
+    for block in range(6):
+        for view in range(3):
+            db.create_object(OID(f"b{block}", f"v{view}", 1))
+    assert db.link_count == 12
+    path = save_database(db, tmp_path / "db.sqlite")
+    if lazy:
+        loaded, registry = load_database(path, lazy=True, cache_lineages=2)
+    else:
+        loaded, registry = load_database(path)
+    phases = PhasePolicy().add_phase(ProjectPhase("bringup", loose))
+    phases.switch_to("bringup", BlueprintEngine(loaded, strict), loaded)
+    for oid in sorted(db.oids()):
+        loaded.get(oid)  # cycle the lazy window past every shard
+    assert all(not link.propagates for link in loaded.links())
+    expected = database_to_dict(loaded, registry)
+    inode = path.stat().st_ino
+    if lazy:
+        loaded.flush(registry)
+    else:
+        save_database(loaded, path, registry)
+    assert path.stat().st_ino == inode  # written back in place
+    assert database_to_dict(*load_database(path)) == expected
+    loaded.close()

@@ -7,21 +7,30 @@ must produce identical query results, stale sets, and clean
 ``check_integrity()`` — plus byte-identical ``select(force_scan=True)``
 output, which bypasses every index and pushdown.
 
-Link ids are deliberately *not* compared: the eager loaders compact ids
-while the lazy store preserves disk ids (so its write-back and pushdown
-stay addressable); equivalence is over the link *structure*
-(endpoints, class, propagate sets).
+All three loaders keep the persisted link ids, so link ids are compared
+too.  The write-back tests at the end run a randomized mutation mix
+against eager and lazy SQLite databases, interleaved with write-backs
+(one of them failing inside its transaction), and check every reload
+against an in-memory twin that ran the same script.
 """
 
 import random
+import sqlite3
 
 import pytest
 
 from repro.metadb.database import MetaDatabase
+from repro.metadb.errors import DuplicateLinkError
 from repro.metadb.links import LinkClass
 from repro.metadb.oid import OID
-from repro.metadb.persistence import load_database, save_database
+from repro.metadb.persistence import (
+    database_from_dict,
+    database_to_dict,
+    load_database,
+    save_database,
+)
 from repro.metadb.query import Query, stale_objects
+from repro.testing.faults import FaultyConnection, SqliteFaultPlan
 
 VIEWS = ("rtl", "gate", "layout")
 OWNERS = ("ana", "bob", "cho")
@@ -98,7 +107,8 @@ def query_battery(db: MetaDatabase) -> list:
     results.append(sorted((o.oid, tuple(sorted(o.properties.items()))) for o in db.objects()))
     results.append(
         sorted(
-            (l.source, l.dest, l.link_class.value, tuple(sorted(l.propagates)))
+            (l.link_id, l.source, l.dest, l.link_class.value,
+             tuple(sorted(l.propagates)))
             for l in db.links()
         )
     )
@@ -166,3 +176,177 @@ def test_flush_round_trip_equivalence(seed, tmp_path):
     from_a, _ = load_database(path_a)
     from_b, _ = load_database(path_b)
     assert query_battery(from_a) == query_battery(from_b)
+
+
+# ---------------------------------------------------------------------------
+# randomized write-back equivalence
+# ---------------------------------------------------------------------------
+
+
+class MutationScript:
+    """A seeded mutation mix over a database's rows.
+
+    Targets are drawn from the script's own bookkeeping (``oids``, and
+    ``link_ids`` copied from the in-memory twin, the last database
+    given), never from a scan of a database under test, so a lazy store
+    keeps faulting and evicting; the same seed drives the same mutations
+    on every database it runs against.
+    """
+
+    def __init__(self, base: MetaDatabase, seed: int) -> None:
+        self.rng = random.Random(seed)
+        self.oids = sorted(base.oids())
+        self.link_ids = sorted(link.link_id for link in base.links())
+        self.created = 0
+
+    def run(self, dbs: list[MetaDatabase], steps: int) -> None:
+        for _ in range(steps):
+            kind = self.rng.choice(self.KINDS)
+            choices = [self.rng.random() for _ in range(4)]
+            for db in dbs:
+                getattr(self, kind)(db, choices)
+            self.after(kind, choices)
+            self.link_ids = sorted(link.link_id for link in dbs[-1].links())
+
+    KINDS = (
+        "set_property", "set_property", "set_property", "delete_property",
+        "create_object", "remove_object", "add_link", "remove_link",
+        "retarget_link", "touch", "rolled_back",
+    )
+
+    def _pick(self, items: list, roll: float):
+        return items[int(roll * len(items))]
+
+    def set_property(self, db, c):
+        obj = db.get(self._pick(self.oids, c[0]))
+        name = self._pick(["uptodate", "owner", "score"], c[1])
+        value = {"uptodate": c[2] < 0.5, "owner": self._pick(OWNERS, c[2]),
+                 "score": int(c[2] * 6)}[name]
+        obj.set(name, value)
+
+    def delete_property(self, db, c):
+        obj = db.get(self._pick(self.oids, c[0]))
+        if "score" in obj.properties:
+            obj.properties.delete("score")
+
+    def create_object(self, db, c):
+        db.create_object(
+            OID(f"n{self.created}", self._pick(VIEWS, c[0]), 1),
+            {"uptodate": c[1] < 0.5, "owner": "new"},
+        )
+
+    def remove_object(self, db, c):
+        if len(self.oids) > 8:
+            db.remove_object(self._pick(self.oids, c[0]))
+
+    def add_link(self, db, c):
+        source, dest = self._pick(self.oids, c[0]), self._pick(self.oids, c[1])
+        if source != dest:
+            try:
+                db.add_link(source, dest, LinkClass.DERIVE, move=c[2] < 0.5)
+            except DuplicateLinkError:
+                pass
+
+    def remove_link(self, db, c):
+        if self.link_ids:
+            db.remove_link(self._pick(self.link_ids, c[0]))
+
+    def retarget_link(self, db, c):
+        if self.link_ids:
+            link = db.get_link(self._pick(self.link_ids, c[0]))
+            dest = self._pick(self.oids, c[1])
+            if dest != link.source:
+                try:
+                    db.retarget_link(link.link_id, dest=dest)
+                except DuplicateLinkError:
+                    pass
+
+    def touch(self, db, c):
+        oid = self._pick(self.oids, c[0])
+        db.get(oid).checked_out_by = None if c[1] < 0.3 else "zoe"
+        db.touch(oid)
+
+    def rolled_back(self, db, c):
+        with pytest.raises(RuntimeError):
+            with db.transaction():
+                self.set_property(db, c)
+                self.create_object(db, [c[3], c[2], c[1], c[0]])
+                self.retarget_link(db, c[::-1])
+                raise RuntimeError("abort")
+
+    def after(self, kind, c):
+        """Mirror the mutation in the script's own bookkeeping."""
+        if kind == "create_object":
+            self.oids.append(OID(f"n{self.created}", self._pick(VIEWS, c[0]), 1))
+            self.oids.sort()
+            self.created += 1
+        elif kind == "rolled_back":
+            self.created += 1  # the aborted create used the name up
+        elif kind == "remove_object" and len(self.oids) > 8:
+            self.oids.remove(self._pick(self.oids, c[0]))
+
+
+def write_back(db, path, registry) -> None:
+    if db.lazy:
+        db.flush(registry)
+    else:
+        save_database(db, path, registry)
+
+
+def write_back_connection(db):
+    """The connection a write-back of *db* runs on (opened if needed)."""
+    if db.lazy:
+        return db.store._connection
+    anchor = db.store.anchor
+    if anchor.connection is None:
+        anchor.connection = sqlite3.connect(anchor.path, check_same_thread=False)
+    return anchor.connection
+
+
+def reload_dict(path) -> dict:
+    reloaded, _ = load_database(path)
+    assert reloaded.check_integrity() == []
+    return database_to_dict(reloaded)
+
+
+@pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_randomized_write_back_equivalence(lazy, seed, tmp_path):
+    base = seeded_db(random.Random(seed))
+    path = save_database(base, tmp_path / "db.sqlite")
+    if lazy:
+        db, registry = load_database(path, lazy=True, cache_lineages=4)
+    else:
+        db, registry = load_database(path)
+    twin, _ = database_from_dict(database_to_dict(base))
+    script = MutationScript(base, seed + 500)
+    for round_index in range(6):
+        script.run([db, twin], 25)
+        db.wal_seq = twin.wal_seq = round_index + 1
+        if round_index == 3:
+            # A write-back that fails inside its transaction: the file
+            # keeps the previous write-back's state, the changes stay
+            # recorded, and the next write-back is still complete.
+            before = reload_dict(path)
+            connection = write_back_connection(db)
+            faulty = FaultyConnection(
+                connection, SqliteFaultPlan(fail_matching="INTO links")
+            )
+            if lazy:
+                db.store._connection = faulty
+            else:
+                db.store.anchor.connection = faulty
+            with pytest.raises(sqlite3.OperationalError):
+                write_back(db, path, registry)
+            if lazy:
+                db.store._connection = connection
+            else:
+                db.store.anchor.connection = connection
+            assert faulty.plan.raised == 1
+            assert reload_dict(path) == before
+            continue
+        write_back(db, path, registry)
+        assert reload_dict(path) == database_to_dict(twin)
+    assert database_to_dict(db) == database_to_dict(twin)
+    assert db.check_integrity() == []
+    db.close()

@@ -2,7 +2,7 @@
 
 Covers the faulting lifecycle: O(window) residency, shard-at-a-time
 faults, SQL pushdown answers for non-resident objects, LRU eviction of
-clean shards, dirty-tracking write-back, and the observer-channel
+clean shards, change-set write-back, and the observer-channel
 invariant (stale listeners report logical transitions only, never
 residency changes).
 """
@@ -304,6 +304,30 @@ class TestWriteBack:
         workspace.db.close()
         reloaded, _ = load_database(path)
         assert reloaded.get(OID("b4", "rtl", 1)).checked_out_by == "yves"
+
+
+@pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+def test_move_link_retarget_survives_write_back(lazy, tmp_path):
+    """``shift_move_links`` retargets the link in place; the write-back
+    must persist the new endpoint on both SQLite stores."""
+    from repro.metadb.versions import shift_move_links
+
+    db = MetaDatabase()
+    db.create_object(OID("a", "rtl", 1))
+    db.create_object(OID("b", "rtl", 1))
+    db.add_link(OID("a", "rtl", 1), OID("b", "rtl", 1), move=True)
+    path = save_database(db, tmp_path / "db.sqlite")
+    loaded, registry = load_database(path, lazy=lazy)
+    loaded.create_object(OID("a", "rtl", 2))
+    assert shift_move_links(loaded, OID("a", "rtl", 1), OID("a", "rtl", 2)) == [1]
+    if lazy:
+        loaded.flush(registry)
+    else:
+        save_database(loaded, path, registry)
+    reloaded, _ = load_database(path)
+    assert [(l.source, l.dest) for l in reloaded.links()] == [
+        (OID("a", "rtl", 2), OID("b", "rtl", 1))
+    ]
 
 
 class TestTransactions:

@@ -96,6 +96,7 @@ def serve_subprocess(
     *,
     crash_points: str = "",
     checkpoint_every: int = 1000,
+    database: str = "db.json",
 ) -> subprocess.Popen:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC_DIR)
@@ -110,7 +111,7 @@ def serve_subprocess(
             "-m",
             "repro.cli",
             "serve",
-            str(project_dir / "db.json"),
+            str(project_dir / database),
             str(project_dir / "flow.bp"),
             "--port",
             str(port),
@@ -245,6 +246,62 @@ class TestSubprocessCrashes:
             assert client.post_event("seen", "a,v,1", "up", arg="e3") == 1
         finally:
             restarted.kill()
+
+    def test_mid_flush_crash_on_eager_sqlite_matches_a_replay_twin(
+        self, project_dir
+    ):
+        """The checkpoint of an eager SQLite database writes back its
+        changes in place; killed right after, the restart must come back
+        to the state of a twin that replayed the same journal."""
+        seed, _ = load_database(project_dir / "db.json")
+        save_database(seed, project_dir / "db.sqlite")
+        save_database(seed, project_dir / "seed.sqlite")
+        posts = [
+            ("seen", "a,v,1", "e1"), ("outofdate", "b,v,1", None),
+            ("seen", "b,v,1", "e2"), ("outofdate", "a,v,1", None),
+            ("seen", "a,v,1", "e3"), ("ckin", "b,v,1", None),
+        ]
+        port = free_port()
+        proc = serve_subprocess(
+            project_dir, port, crash_points="mid-flush:1",
+            checkpoint_every=len(posts), database="db.sqlite",
+        )
+        try:
+            assert wait_for_port("127.0.0.1", port)
+            client = BlueprintClient(port=port)
+            for kind, oid, arg in posts[:-1]:
+                client.post_event(kind, oid, "up", arg=arg)
+            with pytest.raises(ClientError):  # the checkpoint kills it
+                kind, oid, arg = posts[-1]
+                client.post_event(kind, oid, "up", arg=arg)
+            assert wait_exit(proc) == 137
+        finally:
+            proc.kill()
+        twin, _ = load_database(project_dir / "seed.sqlite")
+        with WriteAheadLog(project_dir / "journal") as wal:
+            assert wal.checkpoint_seq == 0  # killed before the truncation
+            entries = list(wal.entries_after(0))
+        assert len(entries) == len(posts)
+        twin_bus = build_bus(twin)
+        for entry in entries:
+            twin_bus.apply_journal_entry(entry)
+        saved, _ = load_database(project_dir / "db.sqlite")
+        assert saved.wal_seq == len(posts)
+        assert fingerprint(saved) == fingerprint(twin)
+        restarted = serve_subprocess(project_dir, port, database="db.sqlite")
+        try:
+            assert wait_for_port("127.0.0.1", port, timeout=10)
+            client = BlueprintClient(port=port)
+            assert self.seen(client, "a,v,1") == "e3"
+            assert self.seen(client, "b,v,1") == "e2"
+            assert sorted(client.stale()) == sorted(twin.stale_set())
+            restarted.send_signal(signal.SIGTERM)  # final checkpoint
+            assert wait_exit(restarted) == 0
+        finally:
+            restarted.kill()
+        final, _ = load_database(project_dir / "db.sqlite")
+        assert fingerprint(final) == fingerprint(twin)
+        assert final.check_integrity() == []
 
 
 def build_bus(db, wal=None, **kwargs) -> EventBus:
