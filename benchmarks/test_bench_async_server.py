@@ -19,20 +19,20 @@ the whole window.  This module measures:
   the framed transport, where a slow subscriber coalesces instead of
   disconnecting.
 
-Results are merge-written to ``BENCH_7.json`` at the repo root.
+Results are merge-written to ``.benchmarks/BENCH_7.json`` (see
+``bench_files``).
 ``DAMOCLES_BENCH_QUICK=1`` runs a smoke pass: tiny bursts, no JSON
 write, no timing assertions.
 """
 
-import json
 import os
 import statistics
 import threading
 import time
-from pathlib import Path
 
 import pytest
 
+import bench_files
 from repro.analysis.reporting import ExperimentReport
 from repro.core.blueprint import Blueprint
 from repro.core.engine import BlueprintEngine
@@ -44,10 +44,6 @@ from repro.network.server import wait_for_port
 from repro.network.wal import WriteAheadLog
 
 QUICK = os.environ.get("DAMOCLES_BENCH_QUICK") == "1"
-
-ROOT = Path(__file__).resolve().parents[1]
-BENCH_PATH = ROOT / "BENCH_7.json"
-BASELINE_PATH = ROOT / "BENCH_6.json"
 
 SOURCE = """\
 blueprint benchasync
@@ -67,21 +63,17 @@ SPEEDUP_FLOOR = 5.0
 
 
 def record_bench(section: str, key: str, value) -> None:
-    """Merge one result into BENCH_7.json (repo root, committed)."""
+    """Merge one result into this run's BENCH_7.json (see bench_files)."""
     if QUICK:
         return  # smoke numbers must not overwrite real measurements
-    data = {}
-    if BENCH_PATH.exists():
-        data = json.loads(BENCH_PATH.read_text())
-    data.setdefault(section, {})[key] = value
-    BENCH_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    bench_files.record_bench("BENCH_7.json", section, key, value)
 
 
 def baseline_plain_16() -> float | None:
     """The PR-6 line-protocol plain rate at 16 clients, if recorded."""
-    if not BASELINE_PATH.exists():
+    data = bench_files.read_bench("BENCH_6.json")
+    if data is None:
         return None
-    data = json.loads(BASELINE_PATH.read_text())
     try:
         return float(data["throughput"]["16_clients"]["plain_events_per_sec"])
     except (KeyError, TypeError, ValueError):

@@ -19,21 +19,20 @@ measures what that promise costs and how fast it pays out:
   must not add a disk barrier to the notification path (pushes happen
   after the append, inside the wave).
 
-Results are also written to ``BENCH_6.json`` at the repo root
-(machine-readable, merge-updated per test) so regressions diff in
-review.  Quick mode skips the JSON write and the timing assertions:
+Results are also written to ``.benchmarks/BENCH_6.json``
+(machine-readable, merge-updated per test; see ``bench_files``), so a
+run can be compared with the committed ``BENCH_6.json``.  Quick mode skips the JSON write and the timing assertions:
 its numbers are smoke, not measurements.
 """
 
-import json
 import os
 import statistics
 import threading
 import time
-from pathlib import Path
 
 import pytest
 
+import bench_files
 from repro.analysis.reporting import ExperimentReport
 from repro.core.blueprint import Blueprint
 from repro.core.engine import BlueprintEngine
@@ -45,8 +44,6 @@ from repro.network.server import ProjectServer, wait_for_port
 from repro.network.wal import WriteAheadLog
 
 QUICK = os.environ.get("DAMOCLES_BENCH_QUICK") == "1"
-
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_6.json"
 
 SOURCE = """\
 blueprint benchjournal
@@ -66,14 +63,10 @@ MAX_COST = 0.20
 
 
 def record_bench(section: str, key: str, value) -> None:
-    """Merge one result into BENCH_6.json (repo root, committed)."""
+    """Merge one result into this run's BENCH_6.json (see bench_files)."""
     if QUICK:
         return  # smoke numbers must not overwrite real measurements
-    data = {}
-    if BENCH_PATH.exists():
-        data = json.loads(BENCH_PATH.read_text())
-    data.setdefault(section, {})[key] = value
-    BENCH_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    bench_files.record_bench("BENCH_6.json", section, key, value)
 
 
 def build_stack(n_blocks: int):

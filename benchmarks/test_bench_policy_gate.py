@@ -12,20 +12,20 @@ on the journaled framed transport — always-allow so every event pays
 the full evaluation (rule match, condition eval, audit append) without
 changing which events apply.
 
-Results are merge-written to ``BENCH_8.json`` at the repo root.
+Results are merge-written to ``.benchmarks/BENCH_8.json`` (see
+``bench_files``).
 ``DAMOCLES_BENCH_QUICK=1`` runs a smoke pass: tiny bursts, no JSON
 write, no timing assertions.
 """
 
-import json
 import os
 import statistics
 import threading
 import time
-from pathlib import Path
 
 import pytest
 
+import bench_files
 from repro.analysis.reporting import ExperimentReport
 from repro.core.blueprint import Blueprint
 from repro.core.engine import BlueprintEngine
@@ -37,10 +37,6 @@ from repro.network.server import wait_for_port
 from repro.network.wal import WriteAheadLog
 
 QUICK = os.environ.get("DAMOCLES_BENCH_QUICK") == "1"
-
-ROOT = Path(__file__).resolve().parents[1]
-BENCH_PATH = ROOT / "BENCH_8.json"
-BASELINE_PATH = ROOT / "BENCH_7.json"
 
 SOURCE = """\
 blueprint benchgate
@@ -69,21 +65,17 @@ MAX_OVERHEAD = 0.10
 
 
 def record_bench(section: str, key: str, value) -> None:
-    """Merge one result into BENCH_8.json (repo root, committed)."""
+    """Merge one result into this run's BENCH_8.json (see bench_files)."""
     if QUICK:
         return  # smoke numbers must not overwrite real measurements
-    data = {}
-    if BENCH_PATH.exists():
-        data = json.loads(BENCH_PATH.read_text())
-    data.setdefault(section, {})[key] = value
-    BENCH_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    bench_files.record_bench("BENCH_8.json", section, key, value)
 
 
 def baseline_journaled_16() -> float | None:
     """PR-7's journaled framed rate at 16 clients, if recorded."""
-    if not BASELINE_PATH.exists():
+    data = bench_files.read_bench("BENCH_7.json")
+    if data is None:
         return None
-    data = json.loads(BASELINE_PATH.read_text())
     try:
         return float(
             data["throughput"]["16_clients_frames"]["journaled_events_per_sec"]

@@ -372,9 +372,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
             # nothing (the saved wal_seq fences replay); a failure
             # leaves the journal intact — never shorter than the DB.
             # The watermark is the bus's APPLIED seq, not wal.last_seq:
-            # under group commit an entry can be journaled while its
-            # wave is still waiting its turn, and a checkpoint must not
-            # claim database coverage for a wave that has not run.
+            # a checkpoint must not claim database coverage for a wave
+            # that has not run.
             seq = server.bus.applied_seq
             db.wal_seq = seq
             try:

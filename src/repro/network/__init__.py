@@ -65,7 +65,6 @@ from repro.network.protocol import (
 from repro.network.server import (
     ProjectServer,
     ReadWriteLock,
-    server_main,
     wait_for_port,
 )
 
@@ -116,6 +115,5 @@ __all__ = [
     "parse_notification",
     "ProjectServer",
     "ReadWriteLock",
-    "server_main",
     "wait_for_port",
 ]

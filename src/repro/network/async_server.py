@@ -17,16 +17,15 @@ same port, classified per connection from its first byte:
   the wiser.
 
 **Write path / group commit.**  Every byte of engine work runs on the
-loop thread, so admission order *is* apply order and the PR-4
-reader-writer discipline degenerates to its ideal form: writes are the
-exclusive section by construction, reads interleave between waves, and
-nothing ever blocks on a lock.  With a journal attached, a write is
-``bus.admit_durable`` (validate + buffered append, no barrier) → the
-wave, inline → a *deferred* response parked on the
-:class:`_DurabilityGate`.  The gate runs at most one ``fdatasync`` at a
-time in an executor thread and releases every parked response the
-barrier covered — a pipeline window of N posts costs one disk barrier,
-not N, which is where the journaled-throughput multiple comes from.
+loop thread, so the loop thread is the writer section: reads interleave
+between waves and nothing ever blocks on a lock.  A write is the bus's
+one write path — ``bus.write`` (validate + buffered journal append, then
+the gate and the wave, inline) → a *deferred* response parked on the
+:class:`_DurabilityGate` under the journal tail the write left.  The
+gate runs at most one ``fdatasync`` at a time in an executor thread and
+releases every parked response the barrier covered — a pipeline window
+of N posts costs one disk barrier, not N, which is where the
+journaled-throughput multiple comes from.
 
 Policy-v2 governance rides the same write path: ``policy propose`` /
 ``approve`` / ``rollback`` are lock-exclusive journaled writes, and
@@ -56,7 +55,6 @@ import threading
 from typing import TYPE_CHECKING, Callable
 
 from repro.core.engine import BlueprintEngine
-from repro.core.journal import JournalEntry
 from repro.network.bus import EventBus
 from repro.network.framing import (
     CREDIT_PAUSE,
@@ -97,18 +95,19 @@ SUBSCRIBER_SNDBUF: int | None = None
 class _DurabilityGate:
     """Group commit for the event loop: park responses until on-disk.
 
-    Writes are journaled with ``defer_sync=True`` (buffered append, no
-    barrier), their wave runs, and then the response is parked here.
-    One executor thread at a time runs ``wal.sync`` for the journal's
-    current tail; every parked response at or below the barrier is
-    released in one sweep.  Later writes keep landing while the barrier
-    runs — the pile-up is exactly what group commit amortises.
+    A write's journal entry is appended without a barrier, its wave
+    runs, and then its response is parked here on the journal tail the
+    write left.  One executor thread at a time runs ``wal.sync`` for the
+    journal's current tail; every parked response at or below the
+    barrier is released in one sweep.  Later writes keep landing while
+    the barrier runs — the pile-up is exactly what group commit
+    amortises.
     """
 
     def __init__(self, loop: asyncio.AbstractEventLoop, bus: EventBus) -> None:
         self._loop = loop
         self._bus = bus
-        self._pending: list[tuple[int, int, JournalEntry, str, Callable[[str], None]]] = []
+        self._pending: list[tuple[int, int, str, Callable[[str], None]]] = []
         self._tiebreak = 0
         self._task: asyncio.Task | None = None
 
@@ -117,20 +116,16 @@ class _DurabilityGate:
         """Responses parked awaiting a disk barrier (overload gauge)."""
         return len(self._pending)
 
-    def submit(
-        self, entry: JournalEntry, response: str, send: Callable[[str], None]
-    ) -> None:
+    def submit(self, seq: int, response: str, send: Callable[[str], None]) -> None:
         wal = self._bus.wal
-        assert wal is not None
-        if wal.durable_seq >= entry.seq or wal.broken or not wal.fsync:
-            # Already covered by an earlier barrier (or the journal is
-            # past helping): ensure_durable settles instantly.
-            send(self._bus.ensure_durable(entry, response))
+        if not seq or wal.durable_seq >= seq or wal.broken or not wal.fsync:
+            # Nothing journaled, already covered by an earlier barrier,
+            # or the journal is past helping: ensure_durable settles
+            # instantly.
+            send(self._bus.ensure_durable(seq, response))
             return
         self._tiebreak += 1
-        heapq.heappush(
-            self._pending, (entry.seq, self._tiebreak, entry, response, send)
-        )
+        heapq.heappush(self._pending, (seq, self._tiebreak, response, send))
         if self._task is None or self._task.done():
             self._task = self._loop.create_task(self._run())
 
@@ -148,9 +143,9 @@ class _DurabilityGate:
                 pass
             durable, broken = wal.durable_seq, wal.broken
             while self._pending and (broken or self._pending[0][0] <= durable):
-                _seq, _tie, entry, response, send = heapq.heappop(self._pending)
+                seq, _tie, response, send = heapq.heappop(self._pending)
                 # Instant: the entry is either covered or broken.
-                send(bus.ensure_durable(entry, response))
+                send(bus.ensure_durable(seq, response))
 
 
 class AsyncProjectServer:
@@ -283,53 +278,31 @@ class AsyncProjectServer:
             "connections": len(self._connections),
         }
 
-    def _apply_write(
-        self, command: Command
-    ) -> tuple[str, JournalEntry | None]:
-        """Admit + run one write on the loop thread.
-
-        Returns ``(response, entry)``; a non-None *entry* means the
-        response must wait on the durability gate before it is sent.
-        Everything here is synchronous: no await sits between admission
-        and apply, so journal order and wave order coincide by
-        construction (the single-threaded analogue of the threaded
-        server's seq-ordered apply gate).
-        """
-        bus = self.bus
-        if bus.wal is None:
-            return bus.handle_command(command), None
-        if bus.busy_limit is not None and self._gate.depth >= bus.busy_limit:
-            # The async writer backlog: responses parked on the gate.
-            # Shed before admission, so a retry is provably safe.
-            return bus.reject_busy(f"durability backlog {self._gate.depth}"), None
-        admitted = bus.admit_durable(command)
-        if isinstance(admitted, str):
-            return admitted, None
-        entry, events = admitted
-        try:
-            bus.wait_turn(entry.seq)  # immediate: loop-ordered admission
-            response = bus.apply_admitted(entry, events)
-        finally:
-            bus.done_turn(entry.seq)
-        return response, entry
-
     def _execute(
         self, command: Command, send: Callable[[str], None]
     ) -> None:
         """Run *command* and deliver its response through *send*.
 
-        Writes may defer delivery to the durability gate; everything
-        else answers immediately.  ``subscribe``/``quit``/``health``
-        are transport-specific and handled by the callers.
+        Writes run the bus's write path inline — no await sits between
+        admission and apply, so journal order is wave order — and park
+        their response on the durability gate; everything else answers
+        immediately.  ``subscribe``/``quit``/``health`` are
+        transport-specific and handled by the callers.
         """
-        if command.kind in LOCK_EXCLUSIVE:
-            response, entry = self._apply_write(command)
-            if entry is None:
-                send(response)
-            else:
-                self._gate.submit(entry, response, send)
+        if command.kind not in LOCK_EXCLUSIVE:
+            send(self.bus.handle_command(command))
             return
-        send(self.bus.handle_command(command))
+        bus = self.bus
+        if (
+            bus.wal is not None
+            and bus.busy_limit is not None
+            and self._gate.depth >= bus.busy_limit
+        ):
+            # The async writer backlog: responses parked on the gate.
+            # Shed before admission, so a retry is provably safe.
+            send(bus.reject_busy(f"durability backlog {self._gate.depth}"))
+            return
+        self._gate.submit(*bus.write(command), send)
 
     # -- connection dispatch -------------------------------------------------
 

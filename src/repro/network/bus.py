@@ -22,36 +22,42 @@ Beyond posting, the bus is the server's command back end:
   are converted to ``ERR`` responses instead of escaping to the
   transport — a bad post must never kill the connection.
 
-Durability (the crash-safe server): when a :class:`WriteAheadLog` is
-attached, every admitted ``postEvent`` / ``batch`` is fsync'd to the
-journal *before* the wave runs — an ``OK`` therefore implies the event
-survives a process kill — and :meth:`apply_journal_entry` re-admits
-recovered entries through the exact same code paths, so replay is the
-live semantics, not a reimplementation of them.  The TCP server splits
-the write path in two (:meth:`admit_durable` outside its exclusive
-lock, :meth:`apply_admitted` inside it) so concurrent clients share
-fsync barriers — group commit — while the seq-ordered apply gate keeps
-wave order identical to journal order.  A bounded writer queue
-(``busy_limit``) turns overload into an explicit ``ERR busy`` with a
-retry hint instead of unbounded growth, and ``health`` reports the
-gauges (journal lag, queue depth, rejection counts) a load balancer or
-self-healing client needs.
+Durability (the crash-safe server): every exclusive command —
+``postEvent``, ``batch``, ``policy propose|approve|rollback`` — takes
+one write path in three steps.  :meth:`admit_durable` validates and
+appends the command to the attached :class:`WriteAheadLog`, buffered,
+with no disk barrier; :meth:`apply_admitted` runs the policy gate, the
+wave and any due checkpoint; :meth:`ensure_durable` then holds the
+response until the journal tail the write left is on disk.  The first
+two steps (:meth:`write`) run inside the caller's writer section — the
+threaded server's exclusive lock, the asyncio server's loop thread — so
+admission and apply are one step in ticket order and journal order
+equals wave order by construction; an in-process caller that writes
+from several threads must serialise its writes the same way.  The
+barrier runs outside it, where every writer that reached it since the
+previous barrier shares one fsync (group commit); an ``OK`` therefore
+still implies the event survives a process kill.
+:meth:`apply_journal_entry` re-admits recovered entries through the
+same gate and wave code, so replay is the live semantics, not a
+reimplementation of them.  A bounded writer queue (``busy_limit``)
+turns overload into an explicit ``ERR busy`` with a retry hint instead
+of unbounded growth, and ``health`` reports the gauges (journal lag,
+queue depth, rejection counts) a load balancer or self-healing client
+needs.
 
 Governance (policy engine v2): every bus owns a
 :class:`~repro.core.policy.GovernedPolicy`.  Event writes are evaluated
-at *apply* time — under the seq-ordered gate, so decisions happen in
-journal order and replay re-derives them deterministically — and every
-deny is both audited and tombstoned into the WAL (an ``audit`` entry
-referencing the denied entry's seq, fsync'd before the ``ERR`` goes
-out), which is how a non-deterministic ``policy_fault`` denial survives
-replay.  Tombstone seqs are never waited on by any writer, so
-:meth:`done_turn` skips them via ``_skip_seqs``.  Policy lifecycle
-commands (``policy propose/approve/rollback``) ride the same
-admit/journal/apply pipeline as posts: validated at admission, journaled
-as ``policy`` entries, applied (and audited) in seq order —
-``crash_point("mid-policy-apply")`` sits between validation and the
-journal append, so a kill there loses the command while an earlier
-journaled propose survives as pending.
+at *apply* time — in journal order, so replay re-derives the decisions
+deterministically — and every deny is both audited and tombstoned into
+the WAL (an ``audit`` entry referencing the denied entry's seq).  The
+tombstone is the journal tail the deny waits on, so the ``ERR`` goes out
+only after the same group-commit barrier as an ack; that is how a
+non-deterministic ``policy_fault`` denial survives replay.  Policy
+lifecycle commands ride the same write path as posts: validated at
+admission, journaled as ``policy`` entries, applied (and audited) in
+journal order — ``crash_point("mid-policy-apply")`` sits between
+validation and the journal append, so a kill there loses the command
+while an earlier journaled propose survives as pending.
 """
 
 from __future__ import annotations
@@ -68,6 +74,7 @@ from repro.metadb.errors import MetaDBError
 from repro.metadb.links import Direction
 from repro.metadb.oid import OID
 from repro.network.protocol import (
+    LOCK_EXCLUSIVE,
     POLICY_WRITES,
     Command,
     ProtocolError,
@@ -89,6 +96,10 @@ from repro.testing.faults import crash_point
 #: Subscriber signature: receives one formatted notification line.
 Subscriber = Callable[[str], None]
 
+#: Prefix of a policy refusal: a deny, or a lifecycle command that lost
+#: its race.  Nothing was applied, so a failed barrier does not change it.
+_POLICY_ERR = err_response("policy:")
+
 
 @dataclass
 class EventBus:
@@ -99,8 +110,9 @@ class EventBus:
     lines_seen: int = 0
     errors: list[str] = field(default_factory=list)
     stats: dict[str, int] = field(default_factory=dict)
-    #: Write-ahead journal: admitted posts/batches are fsync'd here
-    #: before their wave runs (None = no durability layer).
+    #: Write-ahead journal: every admitted write is appended here, and
+    #: its response waits for the fsync barrier (None = no durability
+    #: layer).
     wal: WriteAheadLog | None = None
     #: Reject posts with ``ERR busy`` once the engine queue holds this
     #: many events (None = unbounded; the pre-crash-safety behaviour).
@@ -121,17 +133,10 @@ class EventBus:
         self._events_since_checkpoint = 0
         if self.policy is None:
             self.policy = GovernedPolicy(self.engine)
-        # Journal seqs consumed by deny tombstones: appended mid-apply,
-        # so no writer ever waits on them — ``done_turn`` hops over.
-        self._skip_seqs: set[int] = set()
-        # Apply gate for group commit: journaled writes may be admitted
-        # (validated + fsync'd) by many threads at once, but their waves
-        # must run in journal order or replay would reconstruct a
-        # different state.  ``_next_apply`` is the journal seq whose wave
-        # may run next; the TCP server admits outside its exclusive lock
-        # and then waits its turn here before taking the lock.
-        self._apply_cond = threading.Condition()
-        self._next_apply = (self.wal.last_seq + 1) if self.wal is not None else 1
+        #: Highest journal seq whose apply has finished — the journal
+        #: tail as the last write's apply left it, deny tombstones
+        #: included.  The checkpoint watermark and ``journal_applied``.
+        self.applied_seq = self.wal.last_seq if self.wal is not None else 0
         # Wire-format mirror of the incremental stale set.  The listener
         # fires from whichever thread runs the wave; readers take the
         # same small lock, so `stale` answers consistently without ever
@@ -293,15 +298,8 @@ class EventBus:
             return "BYE"
         if command.kind == "health":
             return format_status_response(self.health_counters(health_extra))
-        if command.kind == "post":
-            assert command.event is not None
-            return self._handle_post(command.event)
-        if command.kind == "batch":
-            return self._handle_batch(command.events)
-        if command.kind in POLICY_WRITES:
-            return self._handle_write(
-                command.kind, (), spec=self._policy_spec(command)
-            )
+        if command.kind in LOCK_EXCLUSIVE:
+            return self.ensure_durable(*self.write(command))
         if command.kind == "policy_status":
             return format_policy_status(self.policy.status_fields())
         if command.kind == "audit":
@@ -353,32 +351,13 @@ class EventBus:
         self._count("busy_rejections")
         return busy_response(self.retry_after, detail)
 
-    def _journal(
-        self, append: Callable[[], JournalEntry], entries: int
-    ) -> tuple[JournalEntry | None, str | None]:
-        """Make the admission durable; an ERR here means the wave will
-        not run in this process (though an entry whose fsync failed
-        after the write may still be recovered after a restart).
-
-        Returns ``(entry, None)`` on success, ``(None, response)`` on
-        failure.
-        """
-        try:
-            entry = append()
-        except (OSError, JournalError) as exc:
-            self._count("journal_errors")
-            return None, err_response(
-                f"journal append failed: {exc}; event not admitted"
-            )
-        self._count("journal_appends", entries)
-        self._events_since_checkpoint += entries
-        return entry, None
-
-    def _handle_post(self, event: EventMessage) -> str:
-        return self._handle_write("post", (event,))
-
-    def _handle_batch(self, events: tuple[EventMessage, ...]) -> str:
-        return self._handle_write("batch", events)
+    @staticmethod
+    def _events(command: Command) -> tuple[EventMessage, ...]:
+        """The events a write command carries (none for policy writes)."""
+        if command.kind == "post":
+            assert command.event is not None
+            return (command.event,)
+        return command.events
 
     @staticmethod
     def _policy_spec(command: Command) -> dict:
@@ -393,97 +372,49 @@ class EventBus:
             return {"version": command.args[0]}
         return {}
 
-    def _handle_write(
-        self,
-        kind: str,
-        events: tuple[EventMessage, ...],
-        spec: dict | None = None,
-    ) -> str:
-        """Serialized write path (in-process bus, lazy databases)."""
-        admitted = self._admit_write(kind, events, spec=spec)
-        if isinstance(admitted, str):
-            return admitted
-        if admitted is None:  # no journal attached
-            try:
-                return self._apply_write(kind, events, spec=spec)
-            finally:
-                self._maybe_checkpoint()
-        entry = admitted
-        self.wait_turn(entry.seq)
-        return self.apply_admitted(entry, events)
+    # -- the write path -------------------------------------------------------
 
-    def admit_durable(
-        self, command: Command
-    ) -> tuple[JournalEntry, tuple[EventMessage, ...]] | str:
-        """Validate + journal a post/batch WITHOUT running its wave.
+    def write(self, command: Command) -> tuple[int, str]:
+        """Admit and apply one exclusive command, in the caller's writer
+        section: :meth:`admit_durable`, then :meth:`apply_admitted`.
 
-        The group-commit half of the server's write path: called
-        *outside* the exclusive lock so that concurrent clients' fsync
-        barriers overlap in the journal.  The caller must then
-        :meth:`wait_turn`, run :meth:`apply_admitted` under the
-        exclusive lock, and (on failure paths) :meth:`done_turn`.
-        Returns the response string when the command was rejected
-        before admission (busy, unknown OID, journal failure).
+        Returns ``(seq, response)``: the journal tail the write left (its
+        own entry, or its deny tombstone; 0 when nothing was journaled)
+        and the response, which the caller hands to
+        :meth:`ensure_durable` *after* leaving the writer section.
         """
-        assert self.wal is not None
-        if command.kind in POLICY_WRITES:
-            events: tuple[EventMessage, ...] = ()
-            spec = self._policy_spec(command)
-        else:
-            events = (command.event,) if command.kind == "post" else command.events
-            spec = None
-        # defer_sync: the wave may run before the disk barrier; the
-        # server holds the client's response in :meth:`ensure_durable`
-        # until the barrier lands, so an OK still implies on-disk.
-        # Deferring lets the fsync overlap the wave AND collect the
-        # entries of every other client that reached the same point —
-        # the pile-up is what makes group commit amortise.
-        admitted = self._admit_write(
-            command.kind, events, defer_sync=True, spec=spec
-        )
-        if isinstance(admitted, str):
-            return admitted
-        assert admitted is not None
-        return admitted, events
+        seq = self.admit_durable(command)
+        if isinstance(seq, str):
+            return 0, seq
+        response = self.apply_admitted(command, seq)
+        return self.applied_seq, response
 
-    def ensure_durable(self, entry: JournalEntry, response: str) -> str:
-        """Group commit, part two: hold *response* until *entry* is on
-        disk.  On a barrier failure the honest answer replaces it — the
-        wave ran in this process, but a crash could still lose it."""
-        assert self.wal is not None
-        try:
-            self.wal.sync(entry.seq)
-        except (OSError, JournalError) as exc:
-            self._count("journal_errors")
-            return err_response(
-                f"journal sync failed: {exc}; "
-                "event applied in memory but not durable"
-            )
-        return response
+    def admit_durable(self, command: Command) -> int | str:
+        """Backpressure, validation and the journal append, without a
+        disk barrier (:meth:`ensure_durable` is the barrier).
 
-    def _admit_write(
-        self,
-        kind: str,
-        events: tuple[EventMessage, ...],
-        defer_sync: bool = False,
-        spec: dict | None = None,
-    ) -> JournalEntry | str | None:
-        """Backpressure + validation + durable journal append.
-
-        Returns the journal entry (wal attached), ``None`` (no wal), or
-        a rejection response string.
+        Returns the entry's seq (0 with no journal attached), or the
+        response when the command was rejected before admission (busy,
+        zero-event batch, unknown OID, invalid lifecycle command,
+        journal failure) — a rejected command provably did not run.
         """
+        kind = command.kind
+        events = self._events(command)
+        if kind == "batch" and not events:
+            return err_response("batch of zero events")
+        busy = self._busy()
+        if busy is not None:
+            return busy
+        spec: dict = {}
         if kind in POLICY_WRITES:
-            busy = self._busy()
-            if busy is not None:
-                return busy
+            spec = self._policy_spec(command)
             # Admission-time validation: an obviously bad lifecycle
             # command (unknown op, class mismatch, nothing pending) is
-            # refused before it ever reaches the journal.  Races that
-            # slip past (two proposes admitted concurrently) are
-            # re-checked at apply time, where the loser audits a deny.
+            # refused before it ever reaches the journal.  Anything that
+            # slips past is re-checked at apply time, where a loser
+            # audits a deny.
             try:
-                self.policy.validate(kind, spec or {})
+                self.policy.validate(kind, spec)
             except PolicyError as exc:
                 self._count("policy_rejected")
                 return err_response(f"policy: {exc}")
@@ -492,20 +423,7 @@ class EventBus:
             # any earlier journaled propose still pending — the
             # fail-closed direction for change control.
             crash_point("mid-policy-apply")
-            if self.wal is None:
-                return None
-            entry, failed = self._journal(
-                lambda: self.wal.append_policy(kind, spec or {}, sync=not defer_sync),
-                1,
-            )
-            if failed is not None:
-                return failed
-            return entry
-        if kind == "batch" and not events:
-            return err_response("batch of zero events")
-        busy = self._busy()
-        if busy is not None:
-            return busy
+            return self._journal(kind, events, spec)
         # Validate targets at post time: silently dropping the event in
         # _deliver (non-strict) or killing the connection (strict) are
         # both worse than an honest ERR.
@@ -521,100 +439,86 @@ class EventBus:
             return err_response(
                 f"unknown OID {' '.join(sorted(set(unknown)))}; nothing posted"
             )
-        if self.wal is None:
-            crash_point("mid-wave")
-            return None
-        if kind == "post":
-            entry, failed = self._journal(
-                lambda: self.wal.append_event(events[0], sync=not defer_sync), 1
-            )
-        else:
-            # One journal entry (one fsync) for the whole batch: replay
-            # then reproduces batch semantics — including
-            # withdraw-on-error — instead of replaying members an
-            # errored batch never ran.
-            entry, failed = self._journal(
-                lambda: self.wal.append_batch(events, sync=not defer_sync),
-                len(events),
-            )
-        if failed is not None:
-            return failed
-        # The event is durable but its wave has not run: a kill here is
-        # the canonical lost-update crash the journal exists to survive.
+        seq = self._journal(kind, events, spec)
+        if isinstance(seq, str):
+            return seq
+        # The event is journaled but its wave has not run: a kill here
+        # is the canonical lost-update crash the journal exists to
+        # survive.
         crash_point("mid-wave")
-        return entry
+        return seq
 
-    def wait_turn(self, seq: int) -> None:
-        """Block until journal entry *seq* is next in line to apply."""
-        with self._apply_cond:
-            while seq != self._next_apply:
-                self._apply_cond.wait()
-
-    def done_turn(self, seq: int) -> None:
-        """Advance the apply gate past *seq* (idempotent).
-
-        Hops over deny-tombstone seqs: those entries are appended
-        *during* an apply, so no writer thread ever waits a turn for
-        them — leaving them in line would wedge the gate forever.
-        """
-        with self._apply_cond:
-            if self._next_apply == seq:
-                self._next_apply = seq + 1
-                while self._next_apply in self._skip_seqs:
-                    self._skip_seqs.discard(self._next_apply)
-                    self._next_apply += 1
-                self._apply_cond.notify_all()
-
-    def _skip_turn(self, seq: int) -> None:
-        """Mark *seq* (a tombstone entry) as never needing a turn."""
-        with self._apply_cond:
-            if self._next_apply == seq:
-                self._next_apply = seq + 1
-                self._apply_cond.notify_all()
-            else:
-                self._skip_seqs.add(seq)
-
-    @property
-    def applied_seq(self) -> int:
-        """Highest journal seq whose wave has run (checkpoint watermark).
-
-        Correct as a database watermark only while the caller prevents
-        new waves — the server's checkpointer runs under the exclusive
-        lock, the serialized bus path is single-writer by construction.
-        """
+    def _journal(
+        self, kind: str, events: tuple[EventMessage, ...], spec: dict
+    ) -> int | str:
+        """Append one admitted write to the journal (buffered); returns
+        its seq, 0 with no journal, or the ERR when the append failed —
+        the wave then does not run in this process."""
         if self.wal is None:
             return 0
-        with self._apply_cond:
-            return self._next_apply - 1
-
-    def apply_admitted(
-        self, entry: JournalEntry, events: tuple[EventMessage, ...]
-    ) -> str:
-        """Run the wave for an already-journaled write (turn held)."""
         try:
-            try:
-                if entry.kind == "policy":
-                    return self._apply_policy(
-                        entry.payload["action"], entry.payload.get("spec", {})
-                    )
-                return self._apply_write(
-                    entry.kind, events, entry_seq=entry.seq
-                )
-            finally:
-                self.done_turn(entry.seq)
+            if kind in POLICY_WRITES:
+                entry = self.wal.append_policy(kind, spec, sync=False)
+            elif kind == "post":
+                entry = self.wal.append_event(events[0], sync=False)
+            else:
+                # One journal entry for the whole batch: replay then
+                # reproduces batch semantics — including
+                # withdraw-on-error — instead of replaying members an
+                # errored batch never ran.
+                entry = self.wal.append_batch(events, sync=False)
+        except (OSError, JournalError) as exc:
+            self._count("journal_errors")
+            return err_response(f"journal append failed: {exc}; event not admitted")
+        entries = len(events) or 1
+        self._count("journal_appends", entries)
+        self._events_since_checkpoint += entries
+        return entry.seq
+
+    def apply_admitted(self, command: Command, seq: int) -> str:
+        """The policy gate, the wave and any due checkpoint, for a write
+        :meth:`admit_durable` admitted as journal entry *seq*."""
+        try:
+            if command.kind in POLICY_WRITES:
+                return self._apply_policy(command.kind, self._policy_spec(command))
+            return self._apply_events(
+                command.kind, self._events(command), entry_seq=seq
+            )
         finally:
+            if self.wal is not None:
+                self.applied_seq = self.wal.last_seq
             self._maybe_checkpoint()
 
-    def _apply_write(
+    def ensure_durable(self, seq: int, response: str) -> str:
+        """Hold *response* until journal entry *seq* is on disk.
+
+        Runs outside the writer section, so every writer that reaches it
+        while a barrier is in flight shares the next one (group commit).
+        When the barrier fails, an applied write's answer becomes the
+        honest one — the wave ran in this process, but a crash could
+        still lose it; a policy refusal stays the refusal it was.
+        """
+        if not seq:
+            return response
+        try:
+            self.wal.sync(seq)
+        except (OSError, JournalError) as exc:
+            self._count("journal_errors")
+            if response.startswith(_POLICY_ERR):
+                return response
+            return err_response(
+                f"journal sync failed: {exc}; "
+                "event applied in memory but not durable"
+            )
+        return response
+
+    def _apply_events(
         self,
         kind: str,
         events: tuple[EventMessage, ...],
-        spec: dict | None = None,
         entry_seq: int = 0,
         forced: dict[int, str] | None = None,
     ) -> str:
-        if kind in POLICY_WRITES:
-            return self._apply_policy(kind, spec or {})
         denied = self._gate(events, entry_seq=entry_seq, forced=forced)
         if denied is not None:
             return denied
@@ -629,7 +533,7 @@ class EventBus:
         entry_seq: int = 0,
         forced: dict[int, str] | None = None,
     ) -> str | None:
-        """The fail-closed policy gate, run in seq order at apply time.
+        """The fail-closed policy gate, run in journal order at apply time.
 
         Returns ``None`` when every event is allowed (each audited
         ``ALLOW``); otherwise audits the denies, tombstones them into
@@ -654,11 +558,12 @@ class EventBus:
                 self.policy.audit_event(event, ALLOW, "")
             return None
         if entry_seq and self.wal is not None and forced is None:
-            # Durable before the ERR goes out: a replayer must never be
-            # able to resurrect (grant) a decision this process refused.
+            # The tombstone becomes the journal tail, so the ERR waits
+            # in ensure_durable on the same barrier as an ack: a
+            # replayer must never be able to resurrect (grant) a
+            # decision this process refused.
             try:
-                tombstone = self.wal.append_audit(entry_seq, denies, sync=True)
-                self._skip_turn(tombstone.seq)
+                self.wal.append_audit(entry_seq, denies, sync=False)
             except (OSError, JournalError):
                 self._count("journal_errors")
         for index, reason in denies:
@@ -731,14 +636,14 @@ class EventBus:
         deny it was, never as a grant.
         """
         if entry.kind == "event":
-            return self._apply_write(
+            return self._apply_events(
                 "event", (payload_event(entry.payload),), forced=forced
             )
         if entry.kind == "batch":
             events = tuple(
                 payload_event(payload) for payload in entry.payload["events"]
             )
-            return self._apply_write("batch", events, forced=forced)
+            return self._apply_events("batch", events, forced=forced)
         if entry.kind == "policy":
             return self._apply_policy(
                 entry.payload["action"], entry.payload.get("spec", {})

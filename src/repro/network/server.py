@@ -8,7 +8,10 @@ discipline per command kind:
 
 * ``postEvent`` / ``batch`` acquire the exclusive writer lock, so engine
   work stays serialised and "events are processed sequentially,
-  first-in first-out" as the paper requires;
+  first-in first-out" as the paper requires.  Inside it the bus admits
+  (journals) and applies the write in one step, so journal order is wave
+  order; the fsync barrier comes after the lock is released, where
+  concurrent writers share it (group commit);
 * ``pending`` (a lineage scan) acquires the shared reader lock: any
   number of them run together, but never during a wave;
 * ``query``, ``stale``, ``status`` and ``ping`` answer from GIL-atomic
@@ -18,9 +21,8 @@ discipline per command kind:
 
 Policy-v2 governance commands ride the same discipline: ``policy
 propose`` / ``policy approve`` / ``policy rollback`` are lock-exclusive
-writes (they flow through the group-commit path and are journaled like
-events), while ``policy status`` and ``audit`` answer lock-free from the
-bus's governed policy.
+writes on the same write path as events, while ``policy status`` and
+``audit`` answer lock-free from the bus's governed policy.
 
 ``subscribe`` flips a connection into push mode: the bus's stale-set
 listener writes ``STALE <oid>`` / ``FRESH <oid>`` lines straight to the
@@ -194,53 +196,26 @@ class _Handler(socketserver.StreamRequestHandler):
             # Lock-free on purpose: health must answer even when every
             # writer slot is wedged — that is exactly when it matters.
             return bus.handle_command(command, health_extra=server.rwlock.stats())
-        if (
-            command.kind in LOCK_EXCLUSIVE
-            and bus.busy_limit is not None
-            and server.rwlock.waiting_writers >= bus.busy_limit
-        ):
-            # Writer backlog bound: shed load before ticketing another
-            # writer, so the queue of blocked handler threads (and the
-            # memory of their pending events) stays bounded.
-            return bus.reject_busy(
-                f"writer backlog {server.rwlock.waiting_writers}"
-            )
-        if (
-            command.kind in LOCK_EXCLUSIVE
-            and bus.wal is not None
-            and not bus.engine.db.lazy
-        ):
-            # Group commit: validate + journal + fsync OUTSIDE the
-            # exclusive lock, so concurrent posts overlap their disk
-            # barriers (one fsync covers many entries) instead of
-            # serializing one fsync per event behind the lock.  The
-            # seq-ordered turn gate then keeps wave order identical to
-            # journal order (replay equivalence); waiting happens
-            # BEFORE taking the write lock or two out-of-order writers
-            # would deadlock.  Lazy databases stay on the fully-locked
-            # path below: their validation faults shards in, which is a
-            # mutation.
-            admitted = bus.admit_durable(command)
-            if isinstance(admitted, str):
-                return admitted
-            entry, events = admitted
-            try:
-                bus.wait_turn(entry.seq)
-                with server.rwlock.writing():
-                    response = bus.apply_admitted(entry, events)
-            finally:
-                # Normally a no-op (apply_admitted advanced the gate);
-                # on an exception path it keeps later writers from
-                # hanging on a turn that will never come.
-                bus.done_turn(entry.seq)
-            # The disk barrier is LAST: it overlaps the waves of later
-            # entries, and every handler that reaches this point since
-            # the previous barrier shares one fsync.  The client sees
-            # OK only after its entry is durable.
-            return bus.ensure_durable(entry, response)
-        if command.kind in LOCK_EXCLUSIVE or (
-            command.kind in ("query", "pending") and bus.engine.db.lazy
-        ):
+        if command.kind in LOCK_EXCLUSIVE:
+            if (
+                bus.busy_limit is not None
+                and server.rwlock.waiting_writers >= bus.busy_limit
+            ):
+                # Writer backlog bound: shed load before ticketing another
+                # writer, so the queue of blocked handler threads (and the
+                # memory of their pending events) stays bounded.
+                return bus.reject_busy(
+                    f"writer backlog {server.rwlock.waiting_writers}"
+                )
+            # Admit and apply in this writer's turn, so journal order is
+            # wave order; wait on the disk barrier only after releasing
+            # the lock, where every handler that reaches it since the
+            # previous barrier shares one fsync (group commit).  The
+            # client sees OK only after its entry is durable.
+            with server.rwlock.writing():
+                seq, response = bus.write(command)
+            return bus.ensure_durable(seq, response)
+        if command.kind in ("query", "pending") and bus.engine.db.lazy:
             # On a demand-faulting database, reads are not read-only:
             # resolving an OID or scanning lineages faults shards in
             # (and may evict others), mutating the shared index
@@ -442,44 +417,6 @@ class ProjectServer:
     @property
     def address(self) -> tuple[str, int]:
         return (self.host, self.port)
-
-
-def server_main(argv: list[str] | None = None) -> int:
-    """CLI entry point: serve a blueprint file over TCP.
-
-    Usage: ``blueprintd BLUEPRINT_FILE [--port N] [--db DB_JSON]``
-    """
-    import argparse
-
-    from repro.core.blueprint import Blueprint
-    from repro.metadb.database import MetaDatabase
-    from repro.metadb.persistence import load_database
-
-    parser = argparse.ArgumentParser(
-        prog="blueprintd", description="DAMOCLES project BluePrint server"
-    )
-    parser.add_argument("blueprint", help="path to the blueprint rule file")
-    parser.add_argument("--port", type=int, default=7865)
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--db", help="optional JSON meta-database to load")
-    args = parser.parse_args(argv)
-
-    blueprint = Blueprint.from_file(args.blueprint)
-    if args.db:
-        db, _registry = load_database(args.db)
-    else:
-        db = MetaDatabase()
-    engine = BlueprintEngine(db, blueprint)
-    server = ProjectServer(engine, host=args.host, port=args.port).start()
-    print(f"blueprintd: serving {blueprint.name!r} on {server.host}:{server.port}")
-    try:
-        while True:
-            threading.Event().wait(3600)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop()
-    return 0
 
 
 def wait_for_port(host: str, port: int, timeout: float = 5.0) -> bool:

@@ -3,8 +3,9 @@
 :mod:`repro.core.journal` proves that replaying recorded external
 inputs deterministically reconstructs database state; this module turns
 that property into crash safety.  The server appends every admitted
-``postEvent`` / ``batch`` here — fsync'd, *before* the wave runs — so a
-process killed mid-wave loses nothing: on restart, entries past the
+``postEvent`` / ``batch`` here *before* the wave runs, and answers only
+once an fsync barrier covers the entry — so a process killed mid-wave
+loses nothing: on restart, entries past the
 database's durable watermark (``db.wal_seq``) replay through the same
 engine and land in the identical state.
 
@@ -18,12 +19,13 @@ checkpoint marker::
 
 Durability rules, in order:
 
-1. an append writes the line, flushes, and waits for a ``fsync``
-   barrier covering its entry before returning — an ``OK`` response to
-   a client implies the event is on disk.  The barrier is *group
-   commit*: one thread fsyncs on behalf of every append that landed
-   since the previous barrier, so concurrent writers share the disk
-   wait instead of queueing one fsync each;
+1. an append writes the line and flushes it; :meth:`sync` (run by the
+   append itself unless ``sync=False``) waits for a ``fsync`` barrier
+   covering the entry, and the server answers only after it — an
+   ``OK`` response to a client implies the event is on disk.  The
+   barrier is *group commit*: one thread fsyncs on behalf of every
+   append that landed since the previous barrier, so concurrent
+   writers share the disk wait instead of queueing one fsync each;
 2. a checkpoint first persists the database (which carries ``wal_seq``
    in the same save/flush transaction), then replaces ``CHECKPOINT``
    atomically, then deletes fully-covered segments — a crash between
@@ -299,9 +301,9 @@ class WriteAheadLog:
         """Record a deny tombstone for entry *ref*.
 
         ``denied`` lists ``(member index, reason)`` pairs — index 0 for a
-        plain ``postEvent``.  The tombstone is fsync'd before the DENY
-        response goes out, so a replayer can never resurrect (grant) a
-        decision the live server refused.
+        plain ``postEvent``.  The DENY response waits for a barrier
+        covering the tombstone, so a replayer can never resurrect (grant)
+        a decision the live server refused.
         """
         payload = {
             "ref": ref,

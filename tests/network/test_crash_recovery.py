@@ -700,16 +700,22 @@ class TestSelfHealingClient:
 class TestGroupCommitConsistency:
     """Concurrent durable writers: wave order must equal journal order.
 
-    The server journals posts *outside* its exclusive lock (group
-    commit), so ordering is no longer a free consequence of
-    serialization — the apply gate has to provide it.  If it ever lets
-    two waves run out of journal order, the replay twin diverges on
-    `last` (last-writer-wins) and this test fails.
+    Writers share fsync barriers (group commit) outside the exclusive
+    lock, so the lock alone no longer tells what reached the disk in
+    which order; admitting and applying in one step of the writer's turn
+    has to keep the journal and the waves in the same order.  If two
+    waves ever run out of journal order, the replay twin diverges on
+    `last` (last-writer-wins) and this test fails.  Run on an eager and
+    on a lazy SQLite-backed database: both take the same write path.
     """
 
-    def test_concurrent_posts_replay_to_identical_state(self, tmp_path):
+    @pytest.mark.parametrize("storage", ["eager", "lazy"])
+    def test_concurrent_posts_replay_to_identical_state(self, tmp_path, storage):
         db = MetaDatabase(name="crashy")
         db.create_object(OID("a", "v", 1))
+        if storage == "lazy":
+            save_database(db, tmp_path / "db.sqlite")
+            db, _registry = load_database(tmp_path / "db.sqlite", lazy=True)
         engine = BlueprintEngine(db, Blueprint.from_source(SOURCE), strict=True)
         wal = WriteAheadLog(tmp_path / "journal")
         server = ProjectServer(engine, wal=wal).start()
@@ -767,4 +773,68 @@ class TestGroupCommitConsistency:
             assert health["journal_broken"] == 0
         finally:
             server.stop()
+            wal.close()
+
+
+class TestFailedBarrier:
+    """A disk barrier that fails after the wave ran answers honestly.
+
+    An allowed post ran in this process but is not durable, and says so;
+    a denied post was refused either way, so it keeps its ``ERR policy``
+    answer.  Both count a journal error.  Checked on the in-process bus
+    and on the threaded server, which share the one write path.
+    """
+
+    GATE = 'policy propose additive require event:outofdate "$uptodate == false"'
+
+    @pytest.mark.parametrize("front", ["bus", "server"])
+    @pytest.mark.parametrize(
+        "line, answer",
+        [
+            ("postEvent seen up a,v,1 lost", "ERR journal sync failed: "),
+            ("postEvent outofdate up a,v,1", "ERR policy: "),
+        ],
+        ids=["allowed", "denied"],
+    )
+    def test_failed_barrier_answer(self, tmp_path, monkeypatch, front, line, answer):
+        import repro.network.wal as walmod
+
+        db = MetaDatabase(name="crashy")
+        db.create_object(OID("a", "v", 1))
+        wal = WriteAheadLog(tmp_path / "journal")
+        if front == "bus":
+            server, bus = None, build_bus(db, wal)
+            send = bus.handle_line
+        else:
+            engine = BlueprintEngine(db, Blueprint.from_source(SOURCE), strict=True)
+            server = ProjectServer(engine, wal=wal).start()
+            assert wait_for_port(server.host, server.port)
+            bus = server.bus
+            conn = socket.create_connection(server.address, timeout=10)
+            reader = conn.makefile()
+
+            def send(request):
+                conn.sendall((request + "\n").encode())
+                return reader.readline().strip()
+
+        try:
+            assert send(self.GATE) == "OK 2 active"
+            errors = bus.health_counters()["journal_errors"]
+
+            def boom(fd):
+                raise OSError("injected: disk gone")
+
+            monkeypatch.setattr(walmod, "_sync_file", boom)
+            response = send(line)
+            assert response.startswith(answer), response
+            if answer.startswith("ERR journal"):
+                assert response.endswith(
+                    "; event applied in memory but not durable"
+                )
+            assert bus.health_counters()["journal_errors"] > errors
+        finally:
+            if server is not None:
+                reader.close()
+                conn.close()
+                server.stop()
             wal.close()

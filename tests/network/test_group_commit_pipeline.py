@@ -9,10 +9,14 @@ both halves of the bargain:
 * **amortisation** — the ``sync_barriers`` counter (one per physical
   fsync of the journal) stays far below the request count under a
   pipelined hammer;
+* **denials too** — a denied post waits on the same barrier as an
+  acknowledged one, its tombstone the journal tail it waits for;
 * **equivalence** — replaying the journal into a twin database yields
   a state fingerprint identical to the live server's, so the cheap
   barriers bought no durability anomalies.
 """
+
+import socket
 
 import pytest
 
@@ -21,6 +25,7 @@ from repro.metadb.oid import OID
 from repro.metadb.persistence import load_database, save_database
 from repro.network.async_server import AsyncProjectServer
 from repro.network.client import BlueprintClient
+from repro.network.framing import FrameChannel
 from repro.network.server import wait_for_port
 from repro.network.wal import WriteAheadLog
 
@@ -106,3 +111,45 @@ class TestGroupCommit:
         assert replayed == HAMMER + 10 + 1 + 1  # batch is ONE entry
         assert fingerprint(twin_db) == live
         twin_wal.close()
+
+    def test_denials_share_the_barrier(self, journaled):
+        """A pipelined burst of denied posts: every post answers ``ERR
+        policy``, every denial's tombstone is journaled, and the burst
+        pays a few barriers, not one inline fsync per deny."""
+        server, wal, _db, _db_path = journaled
+        client = BlueprintClient(
+            host=server.host, port=server.port, transport="frames"
+        )
+        assert (
+            client.policy_propose(
+                "additive", "require", "event:seen", "$uptodate == false"
+            )
+            == "2 active"
+        )
+        barriers = client.health()["journal_barriers"]
+        with socket.create_connection(server.address, timeout=10) as conn:
+            channel = FrameChannel(conn)
+            for i in range(HAMMER):
+                channel.send(
+                    {
+                        "id": i,
+                        "cmd": "post",
+                        "event": f'postEvent seen up a,v,1 "d{i}"',
+                    }
+                )
+            responses = {}
+            while len(responses) < HAMMER:
+                payload = channel.recv()
+                responses[payload["id"]] = payload["response"]
+        denied_barriers = client.health()["journal_barriers"] - barriers
+        assert denied_barriers * 10 <= HAMMER, (
+            f"{denied_barriers} fsync barriers for {HAMMER} denied posts"
+        )
+        assert all(
+            response.startswith("ERR policy: ") for response in responses.values()
+        ), sorted(set(responses.values()))[:3]
+        entries = list(wal.entries())
+        posts = {entry.seq for entry in entries if entry.kind == "event"}
+        tombstoned = {entry.payload["ref"] for entry in entries if entry.kind == "audit"}
+        assert len(posts) == HAMMER
+        assert tombstoned == posts
