@@ -23,8 +23,8 @@ turns a connection into a push channel that receives ``STALE <oid>`` /
 
 Database paths dispatch on suffix: ``.json`` uses the JSON backend,
 ``.sqlite`` / ``.sqlite3`` / ``.db`` the SQLite backend (persisted
-indexes, partial load); ``--backend`` overrides the guess wherever a
-database is read or written.
+indexes, lazy block/view windows); ``--backend`` overrides the guess
+wherever a database is read or written.
 
 Every subcommand is a plain function taking parsed args and returning an
 exit code, so tests drive them directly.
@@ -306,10 +306,15 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """Serve a database + blueprint over TCP (the project-server mode).
 
     With ``--journal DIR`` the server is crash-safe: every admitted
-    event is fsync'd to a write-ahead journal *before* its wave runs,
-    periodic checkpoints persist the database and truncate the covered
-    journal tail, and startup replays whatever the last crash left
-    past the database's durable watermark (``db.wal_seq``).
+    event is appended to a write-ahead journal before its wave runs, and
+    its answer waits for the group-commit fsync barrier that covers the
+    append, so an acknowledged event is on disk.  Periodic checkpoints
+    persist the database and truncate the covered journal tail, and
+    startup replays whatever the last crash left past the database's
+    durable watermark (``db.wal_seq``).
+
+    With ``--blocks`` / ``--views`` the database opens as a lazy window,
+    and the shutdown save writes back only what changed inside it.
     """
     from repro.core.engine import BlueprintEngine
     from repro.network.server import ProjectServer
@@ -319,7 +324,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     journal_path = getattr(args, "journal", None)
     if journal_path and windowed:
         # Replayed events may target objects outside the shard window;
-        # recovery against a partial database would silently diverge.
+        # recovery against a window would silently diverge.
         print(
             "damocles: --journal cannot be combined with --blocks/--views "
             "(recovery needs the whole database)"
@@ -468,16 +473,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         server.stop()
     exit_code = 0
     if not args.no_save:
-        if windowed and not getattr(args, "lazy", False):
-            # An eager partial load holds only the window; saving it back
-            # would overwrite DATABASE with the subset and destroy the
-            # rest.  Lazy windows are safe: they write back incrementally.
-            print(
-                "damocles: NOT saving back — --blocks/--views loaded a "
-                "partial database (use --lazy for incremental write-back, "
-                "or --no-save to silence this)"
-            )
-        elif wal is not None:
+        if wal is not None:
             # A final checkpoint both saves the database and truncates
             # the covered journal.  If the save fails the journal is
             # kept untouched — it still holds every admitted event, so
@@ -619,11 +615,13 @@ def _add_window_options(subparser: argparse.ArgumentParser) -> None:
     )
     subparser.add_argument(
         "--blocks", default=None, metavar="A,B,...",
-        help="restrict the shard window to these blocks",
+        help="open lazily (sqlite only), restricted to a window of these "
+        "blocks; saving back writes only what changed inside it",
     )
     subparser.add_argument(
         "--views", default=None, metavar="X,Y,...",
-        help="restrict the shard window to these view types",
+        help="open lazily (sqlite only), restricted to a window of these "
+        "view types; saving back writes only what changed inside it",
     )
 
 
@@ -742,8 +740,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--journal", default=None, metavar="DIR",
         help="write-ahead journal directory: every admitted event is "
-        "fsync'd before its wave runs, and startup replays whatever a "
-        "crash left past the database's durable watermark",
+        "appended before its wave runs, its answer waits for the "
+        "group-commit fsync that covers it, and startup replays whatever "
+        "a crash left past the database's durable watermark",
     )
     serve.add_argument(
         "--checkpoint-every", type=int, default=256, metavar="N",

@@ -217,9 +217,10 @@ class BlueprintEngine:
 
         ``lazy=True`` (SQLite only) serves events against a
         demand-faulting database: a wave over one subsystem faults in
-        just the shards it touches, and *blocks* / *views* bound the
-        faultable window, so the engine's footprint is O(window) even
-        over a hundred-thousand-object project.
+        just the shards it touches.  *blocks* / *views* open such a
+        database bounded to a faultable window, so the engine's
+        footprint is O(window) even over a hundred-thousand-object
+        project.
         """
         from repro.metadb.persistence import load_database
 

@@ -8,7 +8,8 @@ store that fits their scale:
   version-controllable test fixtures (the original seed format);
 * :class:`~repro.metadb.sqlite_store.SqliteBackend` — a SQLite database
   that also persists the secondary indexes (as SQL indexes over a
-  properties table) and supports *partial load* of selected blocks/views.
+  properties table) and opens lazily, optionally over a window of
+  selected blocks/views.
 
 ``save_database`` / ``load_database`` stay the one-call entry points:
 they dispatch on the path suffix (``.json`` → JSON; ``.sqlite`` /
@@ -164,9 +165,9 @@ class PersistenceBackend(Protocol):
 
     Backends are stateless: ``save`` writes everything, ``load`` rebuilds
     a fully indexed in-memory database.  Backends with richer capability
-    (partial load, persisted indexes) expose it as extra methods; the
-    protocol is the lowest common denominator the CLI and workspace rely
-    on.
+    (lazy windowed opens, persisted indexes) expose it as extra methods;
+    the protocol is the lowest common denominator the CLI and workspace
+    rely on.
     """
 
     name: str
@@ -299,28 +300,23 @@ def load_database(
 
     ``lazy=True`` opens a demand-faulting database over the SQLite
     backend (objects page in on first touch, O(window) footprint)
-    instead of materialising everything; *blocks* / *views* restrict the
-    shard window either way (lazy faulting window, or eager
-    ``load_partial``).  Lazy opens require a backend with ``open_lazy``
-    — the SQLite store — and fail loudly otherwise.
+    instead of materialising everything.  A *blocks* / *views* window
+    always opens that way: only the window faults in, links need both
+    endpoints inside it, configurations are intersected with it, and a
+    save back to the same file writes only the changes, leaving every
+    row outside the window as it was.  Lazy opens require a backend with
+    ``open_lazy`` — the SQLite store — and fail loudly otherwise.
     """
     chosen = get_backend(backend) if backend else backend_for_path(path)
-    if lazy:
-        opener = getattr(chosen, "open_lazy", None)
-        if opener is None:
-            raise PersistenceError(
-                f"backend {chosen.name!r} cannot open lazily "
-                "(demand faulting needs the sqlite backend)"
-            )
-        kwargs: dict = {"blocks": blocks, "views": views}
-        if cache_lineages is not None:
-            kwargs["cache_lineages"] = cache_lineages
-        return opener(path, **kwargs)
-    if blocks is not None or views is not None:
-        partial = getattr(chosen, "load_partial", None)
-        if partial is None:
-            raise PersistenceError(
-                f"backend {chosen.name!r} cannot load a block/view window"
-            )
-        return partial(path, blocks=blocks, views=views)
-    return chosen.load(path)
+    if not lazy and blocks is None and views is None:
+        return chosen.load(path)
+    opener = getattr(chosen, "open_lazy", None)
+    if opener is None:
+        raise PersistenceError(
+            f"backend {chosen.name!r} cannot open lazily "
+            "(demand faulting and block/view windows need the sqlite backend)"
+        )
+    kwargs: dict = {"blocks": blocks, "views": views}
+    if cache_lineages is not None:
+        kwargs["cache_lineages"] = cache_lineages
+    return opener(path, **kwargs)

@@ -1,4 +1,4 @@
-"""SQLite persistence backend with persisted indexes and partial load.
+"""SQLite persistence backend with persisted indexes and lazy windows.
 
 Where the JSON backend writes one blob and rebuilds everything on load,
 this backend normalises the meta-database into relational tables and
@@ -12,11 +12,15 @@ persists the secondary-index structure as SQL indexes:
 * ``links(...)`` — indexed by source and dest (the adjacency index);
 * ``configurations(...)`` — registry snapshots as JSON columns.
 
-That normalisation is what enables **partial load**
-(:meth:`SqliteBackend.load_partial`): a project with a hundred thousand
-objects can materialise just the blocks or views a tool run touches,
-with links restricted to the loaded subgraph — the base for the sharding
-work the roadmap names.
+That normalisation is what lets :meth:`SqliteBackend.open_lazy` serve a
+demand-faulting database, optionally restricted to a **block/view
+window**: a project with a hundred thousand objects opens just the
+blocks or views a tool run touches, with links restricted to those
+whose both endpoints are inside and configurations intersected with the
+window, and saving it back writes only what changed, so the rest of the
+file stays as it was.  :meth:`SqliteBackend.load` materialises the
+whole database; both read the ``meta`` header and the configurations
+through the same two readers.
 
 Property values are stored as ``(value_type, text)`` pairs so booleans,
 ints, floats and strings round-trip losslessly through SQL ``TEXT``.
@@ -37,7 +41,7 @@ import json
 import os
 import sqlite3
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from repro.metadb.configurations import Configuration, ConfigurationRegistry
 from repro.metadb.database import MetaDatabase
@@ -156,6 +160,82 @@ def configuration_rows(registry: ConfigurationRegistry | None) -> list[tuple]:
             )
         )
     return rows
+
+
+class _Header(NamedTuple):
+    """The ``meta`` table of a file, as both opens read it."""
+
+    name: str
+    clock: int
+    next_link_id: int
+    wal_seq: int
+
+    def restore(self, db: MetaDatabase) -> None:
+        """Set *db*'s counters; ``max`` keeps whatever a full load's own
+        mutations already advanced them to."""
+        db._seq = max(db._seq, self.clock)
+        db._next_link_id = max(db._next_link_id, self.next_link_id)
+        db.wal_seq = self.wal_seq
+
+
+def _read_header(connection: sqlite3.Connection) -> _Header:
+    """Check the format and read the name and counters.
+
+    A file written before the clock and the link-id counter were stored
+    gets the smallest safe values: no new object stamped below an
+    existing one, no existing link id reused.
+    """
+    meta = dict(connection.execute("SELECT key, value FROM meta"))
+    if meta.get("format") != str(FORMAT_VERSION):
+        raise PersistenceError(
+            f"unsupported format version {meta.get('format')!r} "
+            f"(expected {FORMAT_VERSION})"
+        )
+    if "clock" in meta:
+        clock = int(meta["clock"])
+    else:
+        (clock,) = connection.execute(
+            "SELECT COALESCE(MAX(created_seq), 0) FROM objects"
+        ).fetchone()
+    if "next_link_id" in meta:
+        next_link_id = int(meta["next_link_id"])
+    else:
+        (max_id,) = connection.execute(
+            "SELECT COALESCE(MAX(id), 0) FROM links"
+        ).fetchone()
+        next_link_id = max_id + 1
+    return _Header(
+        meta.get("name", "project"), clock, next_link_id, int(meta.get("wal_seq", 0))
+    )
+
+
+def _read_configurations(
+    connection: sqlite3.Connection,
+    db: MetaDatabase,
+    has_object: Callable[[OID], bool],
+    has_link: Callable[[int], bool],
+) -> ConfigurationRegistry:
+    """The stored configurations, each intersected with what *db* holds:
+    members that fail *has_object* / *has_link* are dropped."""
+    registry = ConfigurationRegistry(db)
+    for name, description, created_clock, oids_text, link_ids_text in (
+        connection.execute(
+            "SELECT name, description, created_clock, oids, link_ids "
+            "FROM configurations ORDER BY name"
+        ).fetchall()
+    ):
+        registry.save(
+            Configuration(
+                name=name,
+                description=description,
+                oids=frozenset(
+                    filter(has_object, map(OID.parse, json.loads(oids_text)))
+                ),
+                link_ids=frozenset(filter(has_link, json.loads(link_ids_text))),
+                created_clock=created_clock,
+            )
+        )
+    return registry
 
 
 _OID_WHERE = "block = ? AND view = ? AND version = ?"
@@ -362,72 +442,45 @@ class SqliteBackend:
     # ------------------------------------------------------------------
 
     def load(self, path: Path | str) -> tuple[MetaDatabase, ConfigurationRegistry]:
-        """Load the full database (indexes rebuild via normal mutators)."""
-        return self.load_partial(path)
+        """Load the full database (indexes rebuild via normal mutators),
+        anchored to *path* so a save back to it writes only the changes.
 
-    def load_partial(
-        self,
-        path: Path | str,
-        *,
-        blocks: set[str] | None = None,
-        views: set[str] | None = None,
-    ) -> tuple[MetaDatabase, ConfigurationRegistry]:
-        """Load a subset of the database.
-
-        *blocks* / *views* restrict the objects materialised (None = all);
-        only links whose **both** endpoints made it in are loaded, and
-        configurations are intersected with the loaded subgraph.  With no
-        restriction this is a full load, byte-identical (via
-        ``database_to_dict``) to what the JSON backend reconstructs.
+        The result is byte-identical (via ``database_to_dict``) to what
+        the JSON backend reconstructs.  A block/view window opens through
+        :meth:`open_lazy` instead.
         """
         path = Path(path)
         if not path.exists():
             raise PersistenceError(f"no database file at {path}")
         # Identify the file before reading it: a write racing the load
         # then fails the anchor check and forces a full save.
-        anchor = _Anchor(path) if blocks is None and views is None else None
+        anchor = _Anchor(path)
         connection = sqlite3.connect(path)
         try:
-            db, registry = self._load(connection, blocks=blocks, views=views)
+            db, registry = self._load(connection)
         except sqlite3.DatabaseError as exc:
             raise PersistenceError(f"corrupt database file {path}: {exc}") from exc
         finally:
             connection.close()
-        if anchor is not None:
-            # A partial load is never anchored: saving it back must not
-            # look like the whole database.
-            _set_anchor(db, anchor)
+        _set_anchor(db, anchor)
         return db, registry
 
+    @staticmethod
     def _load(
-        self,
         connection: sqlite3.Connection,
-        *,
-        blocks: set[str] | None,
-        views: set[str] | None,
     ) -> tuple[MetaDatabase, ConfigurationRegistry]:
-        meta = dict(connection.execute("SELECT key, value FROM meta"))
-        if meta.get("format") != str(FORMAT_VERSION):
-            raise PersistenceError(
-                f"unsupported format version {meta.get('format')!r} "
-                f"(expected {FORMAT_VERSION})"
-            )
-        db = MetaDatabase(name=meta.get("name", "project"))
-
-        where, params = self._object_filter(blocks, views)
+        header = _read_header(connection)
+        db = MetaDatabase(name=header.name)
         rows = connection.execute(
             "SELECT block, view, version, created_seq, checked_out_by "
-            f"FROM objects{where} ORDER BY block, view, version",
-            params,
+            "FROM objects ORDER BY block, view, version"
         ).fetchall()
         for block, view, version, created_seq, checked_out_by in rows:
             obj = db.create_object(OID(block, view, version), fire_hooks=False)
             obj.created_seq = created_seq
             obj.checked_out_by = checked_out_by
         prop_rows = connection.execute(
-            "SELECT block, view, version, name, value, value_type "
-            f"FROM properties{where}",
-            params,
+            "SELECT block, view, version, name, value, value_type FROM properties"
         ).fetchall()
         for block, view, version, name, text, value_type in prop_rows:
             obj = db.find(OID(block, view, version))
@@ -444,7 +497,7 @@ class SqliteBackend:
             source = OID(sb, sv, sn)
             dest = OID(tb, tv, tn)
             if source not in db or dest not in db:
-                continue  # endpoint outside the partial-load window
+                continue  # a link row whose endpoint row is gone
             db._load_link(
                 link_id,
                 source,
@@ -455,37 +508,10 @@ class SqliteBackend:
                 move=bool(move),
             )
 
-        registry = ConfigurationRegistry(db)
-        config_rows = connection.execute(
-            "SELECT name, description, created_clock, oids, link_ids "
-            "FROM configurations ORDER BY name"
-        ).fetchall()
-        for name, description, created_clock, oids_text, link_ids_text in config_rows:
-            oids = frozenset(
-                oid
-                for oid in (OID.parse(text) for text in json.loads(oids_text))
-                if oid in db
-            )
-            link_ids = frozenset(
-                link_id
-                for link_id in json.loads(link_ids_text)
-                if link_id in db._links
-            )
-            registry.save(
-                Configuration(
-                    name=name,
-                    description=description,
-                    oids=oids,
-                    link_ids=link_ids,
-                    created_clock=created_clock,
-                )
-            )
-        # Restore the persisted counters (see ``save``); ``max`` guards
-        # files written before they were stored and partial loads whose
-        # replayed mutations already advanced past the stored values.
-        db._seq = max(db._seq, int(meta.get("clock", 0)))
-        db._next_link_id = max(db._next_link_id, int(meta.get("next_link_id", 1)))
-        db.wal_seq = int(meta.get("wal_seq", 0))
+        registry = _read_configurations(
+            connection, db, db.__contains__, db._links.__contains__
+        )
+        header.restore(db)
         return db, registry
 
     # ------------------------------------------------------------------
@@ -505,11 +531,13 @@ class SqliteBackend:
         Nothing is materialised up front: objects, properties and link
         adjacency fault in on first touch, sharded by ``(block, view)``,
         and volume queries answer for the non-resident remainder by SQL
-        pushdown.  *blocks* / *views* restrict the faultable window with
-        the same semantics as :meth:`load_partial` (links need both
-        endpoints inside); *cache_lineages* bounds resident clean shards
-        (LRU).  Mutations write back on ``db.flush()`` / ``db.close()``
-        or a ``save_database`` to the same path.
+        pushdown.  *blocks* / *views* restrict the faultable window:
+        objects outside it behave as absent, links need both endpoints
+        inside, and configurations are intersected with it.
+        *cache_lineages* bounds resident clean shards (LRU).  Mutations
+        write back on ``db.flush()`` / ``db.close()`` or a
+        ``save_database`` to the same path, which touches no row outside
+        the window.
         """
         path = Path(path)
         store = LazySqliteStore(
@@ -522,99 +550,22 @@ class SqliteBackend:
             store._connection.close()
             raise
 
+    @staticmethod
     def _open_lazy(
-        self, store: LazySqliteStore
+        store: LazySqliteStore,
     ) -> tuple[MetaDatabase, ConfigurationRegistry]:
-        path = store.path
+        connection = store._connection
         try:
-            connection = store._connection
-            meta = dict(connection.execute("SELECT key, value FROM meta"))
-            if meta.get("format") != str(FORMAT_VERSION):
-                raise PersistenceError(
-                    f"unsupported format version {meta.get('format')!r} "
-                    f"(expected {FORMAT_VERSION})"
-                )
-            db = MetaDatabase(name=meta.get("name", "project"), store=store)
-            if "clock" in meta:
-                db._seq = int(meta["clock"])
-            else:  # pre-fix file: never stamp below an existing object
-                (max_seq,) = connection.execute(
-                    "SELECT COALESCE(MAX(created_seq), 0) FROM objects"
-                ).fetchone()
-                db._seq = max_seq
-            if "next_link_id" in meta:
-                db._next_link_id = int(meta["next_link_id"])
-            else:  # pre-fix file: never reuse an existing link id
-                (max_id,) = connection.execute(
-                    "SELECT COALESCE(MAX(id), 0) FROM links"
-                ).fetchone()
-                db._next_link_id = max_id + 1
-            db.wal_seq = int(meta.get("wal_seq", 0))
-            registry = self._load_configurations_lazy(connection, db, store)
+            header = _read_header(connection)
+            db = MetaDatabase(name=header.name, store=store)
+            header.restore(db)
+            # No-fault probes keep a big configuration from paging the
+            # window full at open time.
+            registry = _read_configurations(
+                connection, db, store.has_object, store.has_link
+            )
             return db, registry
         except sqlite3.DatabaseError as exc:
-            raise PersistenceError(f"corrupt database file {path}: {exc}") from exc
-
-    @staticmethod
-    def _load_configurations_lazy(
-        connection: sqlite3.Connection,
-        db: MetaDatabase,
-        store: LazySqliteStore,
-    ) -> ConfigurationRegistry:
-        """Configurations load eagerly (they are lightweight address
-        sets) but membership checks go through the store's no-fault
-        existence probe so a big configuration cannot page the window
-        full at open time."""
-        registry = ConfigurationRegistry(db)
-        link_window: dict[int, bool] = {}
-        if store.blocks is not None or store.views is not None:
-            for row in connection.execute(
-                "SELECT id, src_block, src_view, dst_block, dst_view FROM links"
-            ):
-                link_window[row[0]] = store._in_window(
-                    row[1], row[2]
-                ) and store._in_window(row[3], row[4])
-        for name, description, created_clock, oids_text, link_ids_text in (
-            connection.execute(
-                "SELECT name, description, created_clock, oids, link_ids "
-                "FROM configurations ORDER BY name"
-            ).fetchall()
-        ):
-            oids = frozenset(
-                oid
-                for oid in (OID.parse(text) for text in json.loads(oids_text))
-                if store.has_object(oid)
-            )
-            link_ids = frozenset(
-                link_id
-                for link_id in json.loads(link_ids_text)
-                if link_window.get(link_id, True)
-            )
-            registry.save(
-                Configuration(
-                    name=name,
-                    description=description,
-                    oids=oids,
-                    link_ids=link_ids,
-                    created_clock=created_clock,
-                )
-            )
-        return registry
-
-    @staticmethod
-    def _object_filter(
-        blocks: set[str] | None, views: set[str] | None
-    ) -> tuple[str, list[str]]:
-        clauses: list[str] = []
-        params: list[str] = []
-        if blocks is not None:
-            placeholders = ", ".join("?" for _ in blocks)
-            clauses.append(f"block IN ({placeholders})")
-            params.extend(sorted(blocks))
-        if views is not None:
-            placeholders = ", ".join("?" for _ in views)
-            clauses.append(f"view IN ({placeholders})")
-            params.extend(sorted(views))
-        if not clauses:
-            return "", []
-        return " WHERE " + " AND ".join(clauses), params
+            raise PersistenceError(
+                f"corrupt database file {store.path}: {exc}"
+            ) from exc

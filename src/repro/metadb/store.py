@@ -344,9 +344,10 @@ class LazySqliteStore:
         path: the ``.sqlite`` file written by the SQLite backend.
         blocks / views: optional shard window.  When given, only
             lineages inside the window are faultable — everything else
-            behaves as absent, exactly like the eager
-            ``SqliteBackend.load_partial`` semantics (links need both
-            endpoints inside the window).
+            behaves as absent, and links need both endpoints inside.
+            This is the one way to open a block/view window
+            (``load_database(..., blocks=, views=)``); its write-back
+            touches no row outside the window.
         cache_lineages: LRU bound on resident *clean* lineages.  Shards
             with recorded changes are pinned until :meth:`flush`; a full
             scan pins everything (see module docstring).
@@ -884,6 +885,22 @@ class LazySqliteStore:
             (oid.block, oid.view, oid.version),
         ).fetchone()
         return row is not None
+
+    @_locked
+    def has_link(self, link_id: int) -> bool:
+        """Existence check that does not fault: the link is stored and
+        both its endpoints are inside the window (configuration loading)."""
+        if dict.__contains__(self._links, link_id):
+            return True
+        if link_id in self.changes.links:
+            return False  # removed since the last write-back
+        row = self._require_open().execute(
+            "SELECT src_block, src_view, dst_block, dst_view FROM links WHERE id = ?",
+            (link_id,),
+        ).fetchone()
+        return (
+            row is not None and self._in_window(*row[:2]) and self._in_window(*row[2:])
+        )
 
     # ------------------------------------------------------------------
     # write-back

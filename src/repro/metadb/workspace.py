@@ -65,9 +65,10 @@ class Workspace:
         The persistence backend is guessed from *db_path*'s suffix
         (``.json`` vs ``.sqlite``) unless *backend* names one explicitly.
         ``lazy=True`` (SQLite only) opens a demand-faulting database —
-        objects page in on first touch — and *blocks* / *views* restrict
-        the shard window, so a workspace over one subsystem of a large
-        project never materialises the rest of the chip.
+        objects page in on first touch.  *blocks* / *views* open such a
+        database restricted to a shard window, so a workspace over one
+        subsystem of a large project never materialises the rest of the
+        chip, and saving it back leaves the rest of the file as it was.
         """
         from repro.metadb.persistence import load_database
 

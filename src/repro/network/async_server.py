@@ -491,7 +491,7 @@ class _FramedConnection:
         try:
             command = request_to_command(payload)
         except ProtocolError as exc:
-            bus.errors.append(str(exc))
+            bus._count("protocol_errors")
             self._send_response(request_id, err_response(str(exc)))
             return False
         if command.kind == "quit":

@@ -108,7 +108,6 @@ class EventBus:
     engine: BlueprintEngine
     process_after_post: bool = True
     lines_seen: int = 0
-    errors: list[str] = field(default_factory=list)
     stats: dict[str, int] = field(default_factory=dict)
     #: Write-ahead journal: every admitted write is appended here, and
     #: its response waits for the fsync barrier (None = no durability
@@ -267,8 +266,8 @@ class EventBus:
             self.lines_seen += 1
         try:
             return parse_command(line)
-        except ProtocolError as exc:
-            self.errors.append(str(exc))
+        except ProtocolError:
+            self._count("protocol_errors")
             raise
 
     def handle_line(

@@ -38,7 +38,9 @@ Durability rules, in order:
 
 Named crash points (armed only by the fault-injection harness, see
 :mod:`repro.testing.faults`): ``mid-journal-append`` between the two
-halves of a line write, ``post-journal-append`` after the fsync.
+halves of a line write, ``post-journal-append`` once the line is
+written (and fsync'd only when the append asked for ``sync=True``; the
+bus appends with ``sync=False``, so there it fires before any barrier).
 """
 
 from __future__ import annotations

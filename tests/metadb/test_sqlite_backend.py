@@ -1,5 +1,5 @@
 """The SQLite persistence backend: round-trips, cross-backend
-equivalence, partial load, persisted index structure."""
+equivalence, block/view windows, persisted index structure."""
 
 import json
 import sqlite3
@@ -152,9 +152,12 @@ class TestCrossBackend:
 
 
 class TestPartialLoad:
+    """A block/view window opens lazily through ``load_database``."""
+
     def test_load_single_view(self, db, tmp_path):
         path = save_database(db, tmp_path / "db.sqlite")
-        partial, _ = SqliteBackend().load_partial(path, views={"rtl"})
+        partial, _ = load_database(path, views={"rtl"})
+        assert partial.lazy
         assert sorted(oid.view for oid in partial.oids()) == ["rtl", "rtl", "rtl"]
         # the rtl->rtl use link survives; the rtl->gate derive link cannot
         assert partial.link_count == 1
@@ -162,15 +165,13 @@ class TestPartialLoad:
 
     def test_load_single_block(self, db, tmp_path):
         path = save_database(db, tmp_path / "db.sqlite")
-        partial, _ = SqliteBackend().load_partial(path, blocks={"mem"})
+        partial, _ = load_database(path, blocks={"mem"})
         assert [oid.block for oid in partial.oids()] == ["mem"]
         assert partial.link_count == 0
 
     def test_configurations_intersect_with_window(self, db, registry, tmp_path):
         path = save_database(db, tmp_path / "db.sqlite", registry)
-        partial, partial_registry = SqliteBackend().load_partial(
-            path, views={"rtl"}
-        )
+        partial, partial_registry = load_database(path, views={"rtl"})
         config = partial_registry.get("snap")
         assert config.oids == frozenset([OID("cpu", "rtl", 1)])
         assert config.link_ids == frozenset()
@@ -178,10 +179,33 @@ class TestPartialLoad:
     def test_no_restriction_equals_full_load(self, db, registry, tmp_path):
         path = save_database(db, tmp_path / "db.sqlite", registry)
         full, full_registry = load_database(path)
-        partial, partial_registry = SqliteBackend().load_partial(path)
+        partial, partial_registry = load_database(path, lazy=True)
         assert database_to_dict(partial, partial_registry) == database_to_dict(
             full, full_registry
         )
+
+    def test_window_saved_over_its_file_keeps_the_rest(self, db, registry, tmp_path):
+        """Saving a window back over its own file writes the window's
+        edit and leaves every object, link and configuration outside
+        the window as it was."""
+        path = save_database(db, tmp_path / "db.sqlite", registry)
+        before = database_to_dict(*load_database(path))
+        window, window_registry = load_database(path, blocks={"mem"})
+        window.get(OID("mem", "rtl", 1)).set("owner", "zoe")
+        save_database(window, path, window_registry)
+        window.close()
+        after = database_to_dict(*load_database(path))
+        for record in before["objects"]:
+            if record["oid"] == "mem,rtl,1":
+                record["properties"]["owner"] = "zoe"
+        assert after["objects"] == before["objects"]
+        assert after["links"] == before["links"]
+        assert after["configurations"] == before["configurations"]
+
+    def test_json_backend_has_no_window(self, db, tmp_path):
+        path = save_database(db, tmp_path / "db.json")
+        with pytest.raises(PersistenceError, match="cannot open lazily"):
+            load_database(path, blocks={"cpu"})
 
 
 class TestPersistedIndexes:
@@ -342,9 +366,13 @@ class TestAnchoredWriteBack:
         assert db.store.changes is None  # saving does not anchor it
 
     def test_partial_load_is_not_anchored(self, db, tmp_path):
+        """A window is lazy: it writes back through its own store, never
+        through an anchor that would look like the whole database."""
         path = save_database(db, tmp_path / "db.sqlite")
         partial, _ = load_database(path, blocks={"cpu"})
-        assert partial.store.changes is None
+        assert partial.lazy
+        assert getattr(partial.store, "anchor", None) is None
+        assert partial.store.blocks == frozenset({"cpu"})
 
     def test_save_back_writes_in_place(self, db, registry, tmp_path):
         path = save_database(db, tmp_path / "db.sqlite", registry)

@@ -11,7 +11,9 @@ All three loaders keep the persisted link ids, so link ids are compared
 too.  The write-back tests at the end run a randomized mutation mix
 against eager and lazy SQLite databases, interleaved with write-backs
 (one of them failing inside its transaction), and check every reload
-against an in-memory twin that ran the same script.
+against an in-memory twin that ran the same script.  The window tests
+open random block/view windows and compare each with the eager full
+load filtered to it, before and after a save back over the same file.
 """
 
 import random
@@ -19,6 +21,7 @@ import sqlite3
 
 import pytest
 
+from repro.metadb.configurations import Configuration, ConfigurationRegistry
 from repro.metadb.database import MetaDatabase
 from repro.metadb.errors import DuplicateLinkError
 from repro.metadb.links import LinkClass
@@ -350,3 +353,109 @@ def test_randomized_write_back_equivalence(lazy, seed, tmp_path):
     assert database_to_dict(db) == database_to_dict(twin)
     assert db.check_integrity() == []
     db.close()
+
+
+# ---------------------------------------------------------------------------
+# block/view windows
+# ---------------------------------------------------------------------------
+
+
+def seeded_configurations(
+    db: MetaDatabase, rng: random.Random
+) -> ConfigurationRegistry:
+    registry = ConfigurationRegistry(db)
+    oids = sorted(db.oids())
+    link_ids = sorted(link.link_id for link in db.links())
+    for index in range(3):
+        registry.save(
+            Configuration(
+                name=f"cfg{index}",
+                oids=frozenset(rng.sample(oids, len(oids) // 3)),
+                link_ids=frozenset(rng.sample(link_ids, len(link_ids) // 2)),
+                created_clock=rng.randrange(db.clock + 1),
+            )
+        )
+    return registry
+
+
+def random_window(db: MetaDatabase, rng: random.Random):
+    """A random ``(blocks, views)`` window; at least one is not None."""
+    blocks = sorted({oid.block for oid in db.oids()})
+    shape = rng.choice(("blocks", "views", "both"))
+    chosen_blocks = chosen_views = None
+    if shape in ("blocks", "both"):
+        chosen_blocks = set(rng.sample(blocks, rng.randrange(1, len(blocks) // 2)))
+    if shape in ("views", "both"):
+        chosen_views = set(rng.sample(VIEWS, rng.randrange(1, len(VIEWS))))
+    return chosen_blocks, chosen_views
+
+
+def object_rows(db: MetaDatabase, inside) -> list:
+    return sorted(
+        (o.oid, tuple(sorted(o.properties.items())), o.created_seq, o.checked_out_by)
+        for o in db.objects()
+        if inside(o.oid)
+    )
+
+
+def link_rows(db: MetaDatabase, inside) -> list:
+    return sorted(
+        (l.link_id, l.source, l.dest, l.link_class.value,
+         tuple(sorted(l.propagates)), l.link_type, l.move)
+        for l in db.links()
+        if inside(l.source) and inside(l.dest)
+    )
+
+
+def configuration_sets(registry: ConfigurationRegistry, inside, link_ids) -> dict:
+    """Each configuration's members inside the window."""
+    return {
+        name: (
+            frozenset(oid for oid in config.oids if inside(oid)),
+            config.link_ids & link_ids,
+            config.created_clock,
+        )
+        for name, config in ((name, registry.get(name)) for name in registry.names())
+    }
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_window_equals_filtered_full_load(seed, tmp_path):
+    """A random block/view window equals the eager full load filtered to
+    it, and saving the window back after one write inside it keeps
+    every row outside the window."""
+    rng = random.Random(seed)
+    base = seeded_db(rng)
+    path = save_database(
+        base, tmp_path / "db.sqlite", seeded_configurations(base, rng)
+    )
+    blocks, views = random_window(base, rng)
+
+    def inside(oid: OID) -> bool:
+        return (blocks is None or oid.block in blocks) and (
+            views is None or oid.view in views
+        )
+
+    full, full_registry = load_database(path)
+    window, window_registry = load_database(path, blocks=blocks, views=views)
+    assert window.lazy
+    assert object_rows(window, lambda oid: True) == object_rows(full, inside)
+    assert link_rows(window, lambda oid: True) == link_rows(full, inside)
+    window_links = {row[0] for row in link_rows(full, inside)}
+    assert configuration_sets(
+        window_registry, lambda oid: True, window_links
+    ) == configuration_sets(full_registry, inside, window_links)
+    assert window.check_integrity() == []
+
+    # One write inside the window, applied to both, then saved back.
+    target = rng.choice([oid for oid in sorted(full.oids()) if inside(oid)])
+    value = rng.randrange(100, 200)
+    for db in (window, full):
+        db.get(target).set("score", value)
+    save_database(window, path, window_registry)
+    window.close()
+    reloaded, reloaded_registry = load_database(path)
+    assert reloaded.check_integrity() == []
+    assert database_to_dict(reloaded, reloaded_registry) == database_to_dict(
+        full, full_registry
+    )

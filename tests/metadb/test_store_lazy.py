@@ -180,15 +180,16 @@ class TestWindow:
         # logical counts see the window only
         assert lazy.object_count == 2 * len(VIEWS)
 
-    def test_window_matches_eager_load_partial(self, saved):
+    def test_window_matches_filtered_full_load(self, saved):
         _db, path = saved
         lazy, _ = open_lazy(path, views={"rtl"})
-        eager, _ = load_database(path, views={"rtl"})
+        full, _ = load_database(path)
         assert sorted(o.oid for o in lazy.objects()) == sorted(
-            o.oid for o in eager.objects()
+            o.oid for o in full.objects() if o.oid.view == "rtl"
         )
-        # rtl->gate links cross the window boundary: excluded both ways
-        assert lazy.link_count == eager.link_count == 0
+        # rtl->gate links cross the window boundary: none is inside
+        assert full.link_count > 0
+        assert lazy.link_count == 0
 
     def test_stale_pushdown_respects_window(self, saved):
         db, path = saved
@@ -431,6 +432,26 @@ class TestReviewRegressions:
         assert full_registry.get("all-rtl").oids == frozenset(
             OID(f"b{i}", "rtl", 1) for i in range(4)
         )
+
+    def test_configurations_drop_removed_links_like_a_full_load(self, tmp_path):
+        from repro.metadb.configurations import Configuration, ConfigurationRegistry
+
+        db = build_db(2)
+        registry = ConfigurationRegistry(db)
+        registry.save(
+            Configuration(
+                name="snap",
+                oids=frozenset([OID("b0", "rtl", 1)]),
+                link_ids=frozenset([1, 2]),
+                created_clock=db.clock,
+            )
+        )
+        db.remove_link(1)
+        path = save_database(db, tmp_path / "cfg.sqlite", registry)
+        _full, full_registry = load_database(path)
+        _lazy, lazy_registry = open_lazy(path)
+        assert full_registry.get("snap").link_ids == frozenset([2])
+        assert lazy_registry.get("snap").link_ids == frozenset([2])
 
     def test_open_lazy_error_closes_connection(self, tmp_path):
         import sqlite3

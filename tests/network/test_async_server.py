@@ -29,7 +29,13 @@ from repro.network.client import (
     RetryPolicy,
     Subscription,
 )
-from repro.network.framing import CREDIT_PAUSE, CREDIT_RESUME, FrameChannel
+from repro.network.framing import (
+    CREDIT_PAUSE,
+    CREDIT_RESUME,
+    FrameChannel,
+    FrameDecoder,
+    encode_frame,
+)
 from repro.network.protocol import OVERLOAD_LINE
 from repro.network.server import wait_for_port
 from repro.network.wal import WriteAheadLog
@@ -115,6 +121,17 @@ class TestTransportEnforcement:
                 conn.sendall(b"ping\n")
                 response = conn.makefile().readline().strip()
             assert response == "ERR framed transport required"
+
+    def test_malformed_frame_is_counted(self, server):
+        with socket.create_connection((server.host, server.port), timeout=2) as conn:
+            conn.sendall(encode_frame({"id": 7, "cmd": "reboot"}))
+            decoder = FrameDecoder()
+            frames: list[dict] = []
+            while not frames:
+                frames = decoder.feed(conn.recv(4096))
+        assert frames[0]["id"] == 7
+        assert frames[0]["response"].startswith("ERR")
+        assert server.bus.stats["protocol_errors"] == 1
 
     def test_lines_only_drops_frames(self, project):
         _db, engine = project

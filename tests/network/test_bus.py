@@ -55,7 +55,7 @@ class TestLineProtocol:
     def test_bad_line_err(self, bus):
         response = bus.handle_line("postEvent broken")
         assert response.startswith("ERR")
-        assert bus.errors
+        assert bus.stats["protocol_errors"] == 1
 
     def test_query_line(self, db, bus):
         db.create_object(OID("a", "v", 1), {"last": "none"})

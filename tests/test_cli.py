@@ -335,61 +335,77 @@ class TestLazyAndExplain:
         assert main(["query", db_path, "core,v0,1", "--lazy"]) == 1
         assert "cannot open lazily" in capsys.readouterr().out
 
-    def test_serve_lazy_round_trip(self, sqlite_database, capsys):
-        """damocles serve --lazy answers stale from the pushdown and
-        writes posted events back incrementally on shutdown."""
+    @staticmethod
+    def _serve(argv, capsys, session) -> int:
+        """Run ``damocles serve`` with *argv* in a thread, call *session*
+        with a client once the port is up, then stop the server; returns
+        its exit code."""
+        import re
         import threading
+        import time
 
         from repro import cli as cli_module
         from repro.network.client import BlueprintClient
 
-        db_path, bp_path = sqlite_database
         result: dict = {}
 
-        def run_server():
-            result["code"] = main([
-                "serve", db_path, bp_path, "--port", "0", "--lazy",
-                "--serve-seconds", "5",
-            ])
+        def run() -> None:
+            result["code"] = main(["serve", *argv])
 
-        thread = threading.Thread(target=run_server)
+        thread = threading.Thread(target=run)
         thread.start()
         try:
-            import re
-            import time
-
             port = None
             deadline = time.time() + 4
             while port is None and time.time() < deadline:
-                out = capsys.readouterr().out
-                match = re.search(r"on 127\.0\.0\.1:(\d+)", out)
+                match = re.search(r"on 127\.0\.0\.1:(\d+)", capsys.readouterr().out)
                 if match:
                     port = int(match.group(1))
                 time.sleep(0.05)
             assert port is not None
-            client = BlueprintClient("127.0.0.1", port)
-            stale = client.stale()
-            assert OID("alu", "v0", 1) in stale
-            client.post_event("uptodate", OID("core", "v0", 1), direction="down")
+            session(BlueprintClient("127.0.0.1", port))
         finally:
             cli_module.stop_serving()
             thread.join(timeout=5)
-        assert result["code"] == 0
+        return result["code"]
+
+    def test_serve_lazy_round_trip(self, sqlite_database, capsys):
+        """damocles serve --lazy answers stale from the pushdown and
+        writes posted events back incrementally on shutdown."""
+        db_path, bp_path = sqlite_database
+
+        def session(client):
+            assert OID("alu", "v0", 1) in client.stale()
+            client.post_event("uptodate", OID("core", "v0", 1), direction="down")
+
+        assert self._serve(
+            [db_path, bp_path, "--port", "0", "--lazy", "--serve-seconds", "5"],
+            capsys,
+            session,
+        ) == 0
         reloaded, _ = load_database(db_path)
         assert reloaded.get(OID("core", "v0", 1)).get("uptodate") is True
 
-    def test_serve_eager_window_refuses_destructive_save(
-        self, sqlite_database, capsys
-    ):
-        """Serving an eager partial load must not overwrite the database
-        file with just the window on shutdown."""
+    def test_serve_window_saves_back_without_loss(self, sqlite_database, capsys):
+        """Serving a --blocks window saves the change posted inside it
+        back on shutdown and keeps every object outside the window."""
         db_path, bp_path = sqlite_database
         before, _ = load_database(db_path)
-        assert main([
-            "serve", db_path, bp_path, "--port", "0", "--blocks", "core",
-            "--serve-seconds", "0.1",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "NOT saving back" in out
+        assert before.get(OID("core", "v0", 1)).get("uptodate") is True
+        assert self._serve(
+            [db_path, bp_path, "--port", "0", "--blocks", "core",
+             "--serve-seconds", "5"],
+            capsys,
+            lambda client: client.post_event(
+                "outofdate", OID("core", "v0", 1), direction="down"
+            ),
+        ) == 0
         after, _ = load_database(db_path)
         assert after.object_count == before.object_count
+        assert after.link_count == before.link_count
+        assert after.get(OID("core", "v0", 1)).get("uptodate") is False
+        for obj in before.objects():
+            if obj.block != "core":
+                assert after.get(obj.oid).properties.as_dict() == (
+                    obj.properties.as_dict()
+                )
