@@ -41,7 +41,7 @@ import json
 import os
 import sqlite3
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable
 
 from repro.metadb.configurations import Configuration, ConfigurationRegistry
 from repro.metadb.database import MetaDatabase
@@ -162,24 +162,9 @@ def configuration_rows(registry: ConfigurationRegistry | None) -> list[tuple]:
     return rows
 
 
-class _Header(NamedTuple):
-    """The ``meta`` table of a file, as both opens read it."""
-
-    name: str
-    clock: int
-    next_link_id: int
-    wal_seq: int
-
-    def restore(self, db: MetaDatabase) -> None:
-        """Set *db*'s counters; ``max`` keeps whatever a full load's own
-        mutations already advanced them to."""
-        db._seq = max(db._seq, self.clock)
-        db._next_link_id = max(db._next_link_id, self.next_link_id)
-        db.wal_seq = self.wal_seq
-
-
-def _read_header(connection: sqlite3.Connection) -> _Header:
-    """Check the format and read the name and counters.
+def _read_header(connection: sqlite3.Connection) -> tuple[str, int, int, int]:
+    """Check the format and read the name, the clock, the next link id
+    and the journal watermark.
 
     A file written before the clock and the link-id counter were stored
     gets the smallest safe values: no new object stamped below an
@@ -204,19 +189,19 @@ def _read_header(connection: sqlite3.Connection) -> _Header:
             "SELECT COALESCE(MAX(id), 0) FROM links"
         ).fetchone()
         next_link_id = max_id + 1
-    return _Header(
-        meta.get("name", "project"), clock, next_link_id, int(meta.get("wal_seq", 0))
-    )
+    name = meta.get("name", "project")
+    return name, clock, next_link_id, int(meta.get("wal_seq", 0))
 
 
 def _read_configurations(
     connection: sqlite3.Connection,
     db: MetaDatabase,
     has_object: Callable[[OID], bool],
-    has_link: Callable[[int], bool],
+    stored_links: Callable[[list[int]], Iterable[int]],
 ) -> ConfigurationRegistry:
     """The stored configurations, each intersected with what *db* holds:
-    members that fail *has_object* / *has_link* are dropped."""
+    objects that fail *has_object* are dropped, and only the link ids
+    *stored_links* returns are kept."""
     registry = ConfigurationRegistry(db)
     for name, description, created_clock, oids_text, link_ids_text in (
         connection.execute(
@@ -231,7 +216,7 @@ def _read_configurations(
                 oids=frozenset(
                     filter(has_object, map(OID.parse, json.loads(oids_text)))
                 ),
-                link_ids=frozenset(filter(has_link, json.loads(link_ids_text))),
+                link_ids=frozenset(stored_links(json.loads(link_ids_text))),
                 created_clock=created_clock,
             )
         )
@@ -465,12 +450,11 @@ class SqliteBackend:
         _set_anchor(db, anchor)
         return db, registry
 
-    @staticmethod
     def _load(
-        connection: sqlite3.Connection,
+        self, connection: sqlite3.Connection
     ) -> tuple[MetaDatabase, ConfigurationRegistry]:
-        header = _read_header(connection)
-        db = MetaDatabase(name=header.name)
+        name, clock, next_link_id, wal_seq = _read_header(connection)
+        db = MetaDatabase(name=name)
         rows = connection.execute(
             "SELECT block, view, version, created_seq, checked_out_by "
             "FROM objects ORDER BY block, view, version"
@@ -509,9 +493,15 @@ class SqliteBackend:
             )
 
         registry = _read_configurations(
-            connection, db, db.__contains__, db._links.__contains__
+            connection,
+            db,
+            db.__contains__,
+            lambda link_ids: [i for i in link_ids if i in db._links],
         )
-        header.restore(db)
+        # ``max``: the load's own mutations may have advanced them.
+        db._seq = max(db._seq, clock)
+        db._next_link_id = max(db._next_link_id, next_link_id)
+        db.wal_seq = wal_seq
         return db, registry
 
     # ------------------------------------------------------------------
@@ -550,22 +540,23 @@ class SqliteBackend:
             store._connection.close()
             raise
 
-    @staticmethod
     def _open_lazy(
-        store: LazySqliteStore,
+        self, store: LazySqliteStore
     ) -> tuple[MetaDatabase, ConfigurationRegistry]:
-        connection = store._connection
+        path = store.path
         try:
-            header = _read_header(connection)
-            db = MetaDatabase(name=header.name, store=store)
-            header.restore(db)
+            connection = store._connection
+            name, clock, next_link_id, wal_seq = _read_header(connection)
+            db = MetaDatabase(name=name, store=store)
+            db._seq, db._next_link_id, db.wal_seq = clock, next_link_id, wal_seq
             # No-fault probes keep a big configuration from paging the
             # window full at open time.
             registry = _read_configurations(
-                connection, db, store.has_object, store.has_link
+                connection, db, store.has_object, store.stored_links
             )
+            if store.blocks is not None or store.views is not None:
+                # What the window may save back (see LazySqliteStore.flush).
+                store.window_configurations = configuration_rows(registry)
             return db, registry
         except sqlite3.DatabaseError as exc:
-            raise PersistenceError(
-                f"corrupt database file {store.path}: {exc}"
-            ) from exc
+            raise PersistenceError(f"corrupt database file {path}: {exc}") from exc

@@ -49,6 +49,8 @@ from __future__ import annotations
 
 import sqlite3
 import threading
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Protocol, runtime_checkable
 
@@ -385,6 +387,12 @@ class LazySqliteStore:
         self._disk_link_ids_loaded: set[int] = set()
         self._all_objects = False
         self._all_links = False
+        # Disk-side sizes, cached until the next write-back changes them.
+        self._disk_sizes: dict[tuple[str, str], int] | None = None
+        self._disk_links: int | None = None
+        #: A window's configurations as read at open: the only ones its
+        #: flush accepts (set by ``SqliteBackend.open_lazy``).
+        self.window_configurations: list[tuple] = []
         # counters (exposed via stats() for benchmarks/diagnostics) --------
         self.faults = 0
         self.evictions = 0
@@ -451,6 +459,13 @@ class LazySqliteStore:
             return "", []
         return " AND ".join(clauses), params
 
+    def _link_window(self) -> tuple[str, list[str]]:
+        """SQL condition for links with both endpoints in the window."""
+        src, src_params = self._window_clause("src_")
+        dst, dst_params = self._window_clause("dst_")
+        clause = f"{src} AND {dst}" if src else ""
+        return clause, src_params + dst_params
+
     # ------------------------------------------------------------------
     # residency callbacks (wired through _FaultingMap)
     # ------------------------------------------------------------------
@@ -475,6 +490,46 @@ class LazySqliteStore:
             raise PersistenceError(f"lazy store over {self.path} is closed")
         return self._connection
 
+    # One row per property (or per bare object), lineage by lineage.
+    _OBJECT_ROWS = (
+        "SELECT o.block, o.view, o.version, o.created_seq, o.checked_out_by, "
+        "p.name, p.value, p.value_type FROM objects o LEFT JOIN properties p "
+        "ON p.block = o.block AND p.view = o.view AND p.version = o.version"
+    )
+    _OBJECT_ORDER = " ORDER BY o.block, o.view, o.version, p.name"
+
+    def _admit_lineages(self, rows) -> None:
+        """Make every lineage in *rows* (``_OBJECT_ROWS``, in
+        ``_OBJECT_ORDER``) that is not resident yet resident."""
+        for lineage, lineage_rows in groupby(rows, key=itemgetter(0, 1)):
+            if lineage in self._resident:
+                continue
+            self.faults += 1
+            self._resident[lineage] = None
+            admitted: list[MetaObject] = []
+            for _, _, version, created_seq, checked_out_by, name, text, value_type in (
+                lineage_rows
+            ):
+                if not admitted or admitted[-1].oid.version != version:
+                    obj = MetaObject(
+                        oid=OID(*lineage, version), created_seq=created_seq
+                    )
+                    obj.checked_out_by = checked_out_by
+                    dict.__setitem__(self._objects, obj.oid, obj)
+                    admitted.append(obj)
+                if name is not None:
+                    obj.properties.set(name, _decode_value(value_type, text))
+            dict.__setitem__(
+                self._lineages, lineage, [obj.oid.version for obj in admitted]
+            )
+            for obj in admitted:
+                # Progressive latest (the version itself, ascending),
+                # exactly like eager creation order: handing every call
+                # the final head would make _set_latest early-return on
+                # the head's own admission and skip its stale evaluation.
+                self.db._index_faulted(obj, obj.oid.version)
+            self._maybe_evict(protect=lineage)
+
     @_locked
     def _fault_lineage(self, lineage: tuple[str, str]) -> None:
         if lineage in self._resident:
@@ -484,53 +539,26 @@ class LazySqliteStore:
             return  # malformed probe key; nothing on disk to fault
         if not self._in_window(block, view):
             return
-        connection = self._require_open()
-        rows = connection.execute(
-            "SELECT version, created_seq, checked_out_by FROM objects "
-            "WHERE block = ? AND view = ? ORDER BY version",
-            (block, view),
-        ).fetchall()
-        if not rows:
-            return
-        self.faults += 1
-        self._resident[lineage] = None
-        versions = [row[0] for row in rows]
-        dict.__setitem__(self._lineages, lineage, versions)
-        props: dict[int, list[tuple[str, str, str]]] = {}
-        for version, name, text, value_type in connection.execute(
-            "SELECT version, name, value, value_type FROM properties "
-            "WHERE block = ? AND view = ? ORDER BY version, name",
-            (block, view),
-        ):
-            props.setdefault(version, []).append((name, text, value_type))
-        admitted: list[MetaObject] = []
-        for version, created_seq, checked_out_by in rows:
-            obj = MetaObject(oid=OID(block, view, version), created_seq=created_seq)
-            for name, text, value_type in props.get(version, ()):
-                obj.properties.set(name, _decode_value(value_type, text))
-            obj.checked_out_by = checked_out_by
-            dict.__setitem__(self._objects, obj.oid, obj)
-            admitted.append(obj)
-        for obj in admitted:
-            # Progressive latest (the version itself, ascending), exactly
-            # like eager creation order: handing every call the final
-            # head would make _set_latest early-return on the head's own
-            # admission and skip its stale evaluation.
-            self.db._index_faulted(obj, obj.oid.version)
-        self._maybe_evict(protect=lineage)
+        self._admit_lineages(
+            self._require_open().execute(
+                f"{self._OBJECT_ROWS} WHERE o.block = ? AND o.view = ?"
+                f"{self._OBJECT_ORDER}",
+                (block, view),
+            )
+        )
 
     @_locked
     def _fault_all_objects(self) -> None:
         if self._all_objects:
             return
         self._all_objects = True  # set first: faulting must not re-enter
-        clause, params = self._window_clause()
+        clause, params = self._window_clause("o.")
         where = f" WHERE {clause}" if clause else ""
-        lineages = self._require_open().execute(
-            f"SELECT DISTINCT block, view FROM objects{where}", params
-        ).fetchall()
-        for block, view in lineages:
-            self._fault_lineage((block, view))
+        self._admit_lineages(
+            self._require_open().execute(
+                f"{self._OBJECT_ROWS}{where}{self._OBJECT_ORDER}", params
+            )
+        )
 
     def _build_link(self, row) -> Link:
         import json
@@ -624,18 +652,22 @@ class LazySqliteStore:
         if self._all_links:
             return
         self._all_links = True
+        clause, params = self._link_window()
+        where = f" WHERE {clause}" if clause else ""
         for row in self._require_open().execute(
-            f"SELECT {self._LINK_COLUMNS} FROM links ORDER BY id"
+            f"SELECT {self._LINK_COLUMNS} FROM links{where} ORDER BY id", params
         ):
-            link = self._admit_link_row(row)
-            if link is None:
-                continue
-            self._fault_adjacency(link.source)
-            self._fault_adjacency(link.dest)
-            # Post-fault links (created this session) already maintain
-            # their endpoints' sets; disk links admitted here must too.
-            dict.setdefault(self._outgoing, link.source, set()).add(link.link_id)
-            dict.setdefault(self._incoming, link.dest, set()).add(link.link_id)
+            self._admit_link_row(row)
+        # Every link of the window is resident now, so its endpoints'
+        # adjacency is complete without asking the disk again.
+        for link in list(dict.values(self._links)):
+            for oid in (link.source, link.dest):
+                if oid not in self._adj_resident:
+                    self._adj_resident.add(oid)
+                    dict.__setitem__(self._outgoing, oid, set())
+                    dict.__setitem__(self._incoming, oid, set())
+            dict.__getitem__(self._outgoing, link.source).add(link.link_id)
+            dict.__getitem__(self._incoming, link.dest).add(link.link_id)
 
     # ------------------------------------------------------------------
     # eviction
@@ -695,6 +727,7 @@ class LazySqliteStore:
             if dict.__contains__(self._links, link_id):
                 dict.__delitem__(self._links, link_id)
                 self._disk_link_ids_loaded.discard(link_id)
+                self._all_links = False  # the next full scan refaults it
 
     # ------------------------------------------------------------------
     # logical sizes
@@ -702,23 +735,26 @@ class LazySqliteStore:
 
     @_locked
     def _disk_lineage_sizes(self) -> dict[tuple[str, str], int]:
-        clause, params = self._window_clause()
-        where = f" WHERE {clause}" if clause else ""
-        return {
-            (block, view): count
-            for block, view, count in self._require_open().execute(
-                f"SELECT block, view, COUNT(*) FROM objects{where} "
-                "GROUP BY block, view",
-                params,
-            )
-        }
+        if self._disk_sizes is None:
+            clause, params = self._window_clause()
+            where = f" WHERE {clause}" if clause else ""
+            self._disk_sizes = {
+                (block, view): count
+                for block, view, count in self._require_open().execute(
+                    f"SELECT block, view, COUNT(*) FROM objects{where} "
+                    "GROUP BY block, view",
+                    params,
+                )
+            }
+        return self._disk_sizes
 
     def _object_count(self) -> int:
-        count = dict.__len__(self._objects)
-        for lineage, size in self._disk_lineage_sizes().items():
-            if lineage not in self._resident:
-                count += size
-        return count
+        if self._all_objects:  # the whole window is resident
+            return dict.__len__(self._objects)
+        sizes = self._disk_lineage_sizes()
+        return dict.__len__(self._objects) + sum(sizes.values()) - sum(
+            sizes.get(lineage, 0) for lineage in self._resident
+        )
 
     def _lineage_count(self) -> int:
         count = dict.__len__(self._lineages)
@@ -729,18 +765,13 @@ class LazySqliteStore:
 
     @_locked
     def _link_count(self) -> int:
-        if self.blocks is None and self.views is None:
-            (disk_total,) = self._require_open().execute(
-                "SELECT COUNT(*) FROM links"
+        if self._disk_links is None:
+            clause, params = self._link_window()
+            where = f" WHERE {clause}" if clause else ""
+            (self._disk_links,) = self._require_open().execute(
+                f"SELECT COUNT(*) FROM links{where}", params
             ).fetchone()
-        else:
-            disk_total = 0
-            for row in self._require_open().execute(
-                f"SELECT {self._LINK_COLUMNS} FROM links"
-            ):
-                if self._in_window(row[1], row[2]) and self._in_window(row[4], row[5]):
-                    disk_total += 1
-        return dict.__len__(self._links) + disk_total - len(
+        return dict.__len__(self._links) + self._disk_links - len(
             self._disk_link_ids_loaded
         )
 
@@ -887,20 +918,24 @@ class LazySqliteStore:
         return row is not None
 
     @_locked
-    def has_link(self, link_id: int) -> bool:
-        """Existence check that does not fault: the link is stored and
-        both its endpoints are inside the window (configuration loading)."""
-        if dict.__contains__(self._links, link_id):
-            return True
-        if link_id in self.changes.links:
-            return False  # removed since the last write-back
-        row = self._require_open().execute(
-            "SELECT src_block, src_view, dst_block, dst_view FROM links WHERE id = ?",
-            (link_id,),
-        ).fetchone()
-        return (
-            row is not None and self._in_window(*row[:2]) and self._in_window(*row[2:])
-        )
+    def stored_links(self, link_ids: list[int]) -> set[int]:
+        """The ids in *link_ids* stored on disk with both endpoints
+        inside the window, without faulting (configuration loading at
+        open).  One query per chunk, within SQLite's variable limit."""
+        clause, params = self._link_window()
+        window = f" AND {clause}" if clause else ""
+        found: set[int] = set()
+        for start in range(0, len(link_ids), 500):
+            chunk = link_ids[start : start + 500]
+            found.update(
+                link_id
+                for (link_id,) in self._require_open().execute(
+                    f"SELECT id FROM links WHERE id IN ({', '.join('?' * len(chunk))})"
+                    f"{window}",
+                    [*chunk, *params],
+                )
+            )
+        return found
 
     # ------------------------------------------------------------------
     # write-back
@@ -918,14 +953,23 @@ class LazySqliteStore:
         from repro.metadb.sqlite_store import configuration_rows, write_back
 
         connection = self._require_open()
-        # A windowed session only ever saw window-intersected
-        # configurations; rewriting the table from them would silently
-        # strip every out-of-window member.  Leave them untouched.
-        windowed = self.blocks is not None or self.views is not None
-        configurations = (
-            None if registry is None or windowed else configuration_rows(registry)
-        )
+        configurations = None if registry is None else configuration_rows(registry)
+        if configurations is not None and (
+            self.blocks is not None or self.views is not None
+        ):
+            # A window only holds configurations intersected with it;
+            # rewriting the table from them would strip every member
+            # outside it, so it leaves the table as it is and refuses
+            # to drop an edit silently.
+            if configurations != self.window_configurations:
+                raise PersistenceError(
+                    f"a block/view window over {self.path} cannot save "
+                    "changed configurations; open the database without a "
+                    "window to change them"
+                )
+            configurations = None
         write_back(connection, self.db, self.changes, configurations)
+        self._disk_sizes = self._disk_links = None
         # The disk now mirrors every changed link; account it as loaded.
         for link_id in self.changes.links:
             if dict.__contains__(self._links, link_id):

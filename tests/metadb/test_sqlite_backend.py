@@ -202,6 +202,24 @@ class TestPartialLoad:
         assert after["links"] == before["links"]
         assert after["configurations"] == before["configurations"]
 
+    def test_window_refuses_to_save_changed_configurations(
+        self, db, registry, tmp_path
+    ):
+        """A window holds configurations intersected with it, so it
+        cannot write them back: an edited configuration fails the save
+        loudly, before anything is written."""
+        path = save_database(db, tmp_path / "db.sqlite", registry)
+        before = database_to_dict(*load_database(path))
+        window, window_registry = load_database(path, blocks={"cpu"})
+        window.get(OID("cpu", "gate", 1)).set("owner", "zoe")
+        window_registry.replace(
+            Configuration(name="snap", oids=frozenset(), created_clock=window.clock)
+        )
+        with pytest.raises(PersistenceError, match="changed configurations"):
+            save_database(window, path, window_registry)
+        assert database_to_dict(*load_database(path)) == before
+        window.close()
+
     def test_json_backend_has_no_window(self, db, tmp_path):
         path = save_database(db, tmp_path / "db.json")
         with pytest.raises(PersistenceError, match="cannot open lazily"):

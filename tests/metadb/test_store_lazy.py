@@ -397,6 +397,16 @@ class TestReviewRegressions:
         pairs = lazy.neighbours(OID("b0", "rtl", 1), Direction.DOWN)
         assert [oid.wire() for _l, oid in pairs] == ["b0,gate,1"]
 
+    def test_links_scan_after_eviction_sees_every_link(self, saved):
+        db, path = saved
+        lazy, _ = open_lazy(path, cache_lineages=4)
+        assert len(list(lazy.links())) == db.link_count
+        for index in range(12):  # page every shard through the LRU
+            for view in VIEWS:
+                lazy.get(OID(f"b{index}", view, 1))
+        assert lazy.store.evictions > 0
+        assert len(list(lazy.links())) == db.link_count == lazy.link_count
+
     def test_unflushed_link_survives_adjacency_eviction(self, saved):
         """A link created this session whose endpoint shard is evicted
         must reappear when the endpoint's adjacency refaults (it has no
@@ -452,6 +462,34 @@ class TestReviewRegressions:
         _lazy, lazy_registry = open_lazy(path)
         assert full_registry.get("snap").link_ids == frozenset([2])
         assert lazy_registry.get("snap").link_ids == frozenset([2])
+
+    def test_configurations_keep_links_past_one_query_chunk(self, tmp_path):
+        from repro.metadb.configurations import Configuration, ConfigurationRegistry
+
+        db = build_db(400)  # 800 links: more ids than one IN (...) chunk
+        registry = ConfigurationRegistry(db)
+        registry.save(Configuration.snapshot(db, "all"))
+        db.remove_link(700)
+        path = save_database(db, tmp_path / "cfg.sqlite", registry)
+        _lazy, lazy_registry = open_lazy(path)
+        assert lazy_registry.get("all").link_ids == frozenset(range(1, 801)) - {700}
+        _window, window_registry = open_lazy(path, blocks={"b0", "b399"})
+        assert window_registry.get("all").link_ids == {1, 2, 799, 800}
+
+    def test_window_counts_follow_a_flush(self, saved):
+        _db, path = saved
+        window, _ = open_lazy(path, blocks={"b0", "b1"})
+        assert (window.object_count, window.link_count) == (6, 4)
+        window.create_object(OID("b0", "rtl", 2))
+        window.add_link(OID("b0", "rtl", 2), OID("b1", "rtl", 1))
+        window.remove_link(1)
+        assert (window.object_count, window.link_count) == (7, 4)
+        window.flush()
+        assert (window.object_count, window.link_count) == (7, 4)
+        window.close()
+        reopened, _ = open_lazy(path, blocks={"b0", "b1"})
+        assert (reopened.object_count, reopened.link_count) == (7, 4)
+        assert len(list(reopened.links())) == 4
 
     def test_open_lazy_error_closes_connection(self, tmp_path):
         import sqlite3
