@@ -253,32 +253,6 @@ class BlueprintEngine:
         """
         self.blueprint = blueprint
 
-    def attach_governor(self, governor) -> None:
-        """Bind a :class:`~repro.core.policy.GovernedPolicy` to the engine.
-
-        The governor owns the active policy document and swaps this
-        engine's blueprint on every activation/rollback; attaching it
-        here lets engine-side consumers (the tool scheduler, wrappers)
-        route permission checks through the same audited, fail-closed
-        evaluator the network bus uses.
-        """
-        self.governor = governor
-
-    def check_tool(self, tool: str, inputs: list) -> object:
-        """Audited tool-permission check against the attached governor.
-
-        With no governor attached this *grants* — standalone engines
-        (tests, notebooks) keep their historical behaviour; fail-closed
-        applies once governance is wired in, and then every decision
-        lands in the governor's audit log.
-        """
-        governor = getattr(self, "governor", None)
-        if governor is None:
-            from repro.core.policy import Decision
-
-            return Decision(granted=True)
-        return governor.check_tool(self.db, tool, inputs)
-
     def on_stale_change(self, listener: Callable[[OID, bool], None]) -> None:
         """Register *listener(oid, is_stale)* on stale-set transitions.
 

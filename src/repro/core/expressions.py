@@ -1,4 +1,4 @@
-"""The continuous-assignment expression language.
+"""The continuous-assignment expression language: AST and evaluation.
 
 Section 3.2 of the paper attaches *continuous assignments* to views::
 
@@ -8,21 +8,24 @@ Section 3.2 of the paper attaches *continuous assignments* to views::
 "Such an assignment is continuously being reevaluated."  The right-hand
 side is a small boolean expression language over property references
 (``$name``), bare-word string literals (``good``, ``is_equiv``), quoted
-strings, numbers and the operators ``==``, ``!=``, ``<``, ``<=``, ``>``,
-``>=``, ``and``, ``or``, ``not`` with parentheses.
+strings, numbers, the booleans ``true``/``false`` and the operators
+``==``, ``!=``, ``<``, ``<=``, ``>``, ``>=``, ``and``, ``or``, ``not``
+with parentheses.
 
 The same expressions serve as run-time-rule right-hand sides
 (``sim_result = $arg``), wrapper permission predicates (section 3.3) and
-ad-hoc state queries.  String literals containing ``$`` are interpolated
-against the evaluation environment, which is how the paper's
-``"$oid changed by $user"`` values work.
+ad-hoc state queries.  All of them are read by the blueprint lexer and
+parser (:mod:`repro.core.lang`): :meth:`Expression.parse` reads
+standalone text with the grammar of a ``let`` value.  String literals
+containing ``$`` are interpolated against the evaluation environment,
+which is how the paper's ``"$oid changed by $user"`` values work.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator, Protocol
+from typing import Callable, Protocol
 
 from repro.metadb.properties import Value, value_to_text
 
@@ -162,8 +165,18 @@ class Expression:
 
     @staticmethod
     def parse(text: str) -> "Expression":
-        """Parse standalone expression source text."""
-        return _Parser(list(_tokenize(text)), text).parse_complete()
+        """Parse standalone expression source text.
+
+        Raises :class:`ExpressionError` unless the whole of *text* is one
+        expression; a ``#`` is refused, not read as a comment.
+        """
+        from repro.core.lang.parser import parse_expression
+        from repro.core.lang.tokens import BlueprintSyntaxError
+
+        try:
+            return parse_expression(text)
+        except BlueprintSyntaxError as exc:
+            raise ExpressionError(f"{exc} in {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -184,13 +197,17 @@ class Literal(Expression):
         return set()
 
     def to_source(self) -> str:
-        if self.quoted:
-            escaped = str(self.value).replace("\\", "\\\\").replace('"', '\\"')
-            return f'"{escaped}"'
+        from repro.core.lang.lexer import is_literal_word
+
         text = value_to_text(self.value)
-        if isinstance(self.value, str) and not _is_bare_word(self.value):
+        if self.quoted or (isinstance(self.value, str) and not is_literal_word(text)):
             escaped = text.replace("\\", "\\\\").replace('"', '\\"')
             return f'"{escaped}"'
+        if isinstance(self.value, float) and "e" in text:
+            # the lexer reads no exponent: spell the same digits positionally
+            mantissa, exponent = text.split("e")
+            decimals = max(0, len(mantissa.partition(".")[2]) - int(exponent))
+            text = f"{self.value:.{decimals}f}"
         return text
 
 
@@ -353,16 +370,6 @@ def compile_expression(expr: Expression) -> Callable[[Environment], Value]:
     return expr.evaluate
 
 
-_BARE_WORD_RE = re.compile(r"^[A-Za-z_][\w\-.]*$")
-#: Words that would lex as operators/keywords rather than literal atoms.
-_RESERVED_ATOMS = frozenset({"and", "or", "not"})
-
-
-def _is_bare_word(text: str) -> bool:
-    """True when *text* prints safely as an unquoted atom."""
-    return bool(_BARE_WORD_RE.match(text)) and text not in _RESERVED_ATOMS
-
-
 def _maybe_paren(item: Expression) -> str:
     if isinstance(item, (And, Or, Compare)):
         return f"({item.to_source()})"
@@ -374,152 +381,3 @@ def _operand(item: Expression) -> str:
     if isinstance(item, (Literal, VarRef)):
         return item.to_source()
     return f"({item.to_source()})"
-
-
-# ---------------------------------------------------------------------------
-# standalone tokenizer + parser
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # IDENT VARREF STRING NUMBER OP LPAREN RPAREN
-    text: str
-    pos: int
-
-
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<op>==|!=|<=|>=|<|>)
-  | (?P<lparen>\()
-  | (?P<rparen>\))
-  | (?P<varref>\$\w+)
-  | (?P<number>-?\d+(\.\d+)?)
-  | (?P<string>"(\\.|[^"\\])*")
-  | (?P<ident>[A-Za-z_][\w\-.]*)
-    """,
-    re.VERBOSE,
-)
-
-
-def _tokenize(text: str) -> Iterator[_Token]:
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ExpressionError(
-                f"bad character {text[pos]!r} at offset {pos} in {text!r}"
-            )
-        pos = match.end()
-        kind = match.lastgroup
-        if kind == "ws":
-            continue
-        value = match.group()
-        if kind == "op":
-            yield _Token("OP", value, match.start())
-        elif kind == "lparen":
-            yield _Token("LPAREN", value, match.start())
-        elif kind == "rparen":
-            yield _Token("RPAREN", value, match.start())
-        elif kind == "varref":
-            yield _Token("VARREF", value[1:], match.start())
-        elif kind == "number":
-            yield _Token("NUMBER", value, match.start())
-        elif kind == "string":
-            yield _Token("STRING", value, match.start())
-        elif kind == "ident":
-            yield _Token("IDENT", value, match.start())
-
-
-def unescape_string(lexeme: str) -> str:
-    """Strip quotes and process ``\\"`` / ``\\\\`` escapes."""
-    body = lexeme[1:-1]
-    return body.replace('\\"', '"').replace("\\\\", "\\")
-
-
-class _Parser:
-    """Recursive-descent parser for standalone expression text."""
-
-    def __init__(self, tokens: list[_Token], source: str) -> None:
-        self.tokens = tokens
-        self.source = source
-        self.index = 0
-
-    def parse_complete(self) -> Expression:
-        expr = self.parse_or()
-        if self.index != len(self.tokens):
-            tok = self.tokens[self.index]
-            raise ExpressionError(
-                f"unexpected {tok.text!r} at offset {tok.pos} in {self.source!r}"
-            )
-        return expr
-
-    # precedence climbing: or < and < not < comparison < atom
-
-    def parse_or(self) -> Expression:
-        items = [self.parse_and()]
-        while self._peek_ident("or"):
-            self.index += 1
-            items.append(self.parse_and())
-        return items[0] if len(items) == 1 else Or(tuple(items))
-
-    def parse_and(self) -> Expression:
-        items = [self.parse_not()]
-        while self._peek_ident("and"):
-            self.index += 1
-            items.append(self.parse_not())
-        return items[0] if len(items) == 1 else And(tuple(items))
-
-    def parse_not(self) -> Expression:
-        if self._peek_ident("not"):
-            self.index += 1
-            return Not(self.parse_not())
-        return self.parse_comparison()
-
-    def parse_comparison(self) -> Expression:
-        left = self.parse_atom()
-        if self.index < len(self.tokens) and self.tokens[self.index].kind == "OP":
-            op = self.tokens[self.index].text
-            self.index += 1
-            right = self.parse_atom()
-            return Compare(op, left, right)
-        return left
-
-    def parse_atom(self) -> Expression:
-        if self.index >= len(self.tokens):
-            raise ExpressionError(f"unexpected end of expression in {self.source!r}")
-        tok = self.tokens[self.index]
-        self.index += 1
-        if tok.kind == "LPAREN":
-            inner = self.parse_or()
-            if (
-                self.index >= len(self.tokens)
-                or self.tokens[self.index].kind != "RPAREN"
-            ):
-                raise ExpressionError(f"missing ')' in {self.source!r}")
-            self.index += 1
-            return inner
-        if tok.kind == "VARREF":
-            return VarRef(tok.text)
-        if tok.kind == "NUMBER":
-            number = float(tok.text)
-            return Literal(int(number) if number.is_integer() else number)
-        if tok.kind == "STRING":
-            return Literal(unescape_string(tok.text), quoted=True)
-        if tok.kind == "IDENT":
-            if tok.text == "true":
-                return Literal(True)
-            if tok.text == "false":
-                return Literal(False)
-            return Literal(tok.text)
-        raise ExpressionError(
-            f"unexpected {tok.text!r} at offset {tok.pos} in {self.source!r}"
-        )
-
-    def _peek_ident(self, word: str) -> bool:
-        return (
-            self.index < len(self.tokens)
-            and self.tokens[self.index].kind == "IDENT"
-            and self.tokens[self.index].text == word
-        )

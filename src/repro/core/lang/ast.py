@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.expressions import Expression
+from repro.core.expressions import Expression, Literal
+from repro.core.lang.tokens import KEYWORDS
 from repro.metadb.links import Direction
 from repro.metadb.versions import InheritMode
 
@@ -102,9 +103,9 @@ class PropertyDecl:
     inherit: InheritMode = InheritMode.NONE
 
     def to_source(self) -> str:
-        from repro.metadb.properties import value_to_text
-
-        text = f"property {self.name} default {value_to_text(self.default)}"
+        # a bare keyword is no default value: ``default "copy"`` is quoted
+        quoted = isinstance(self.default, str) and self.default.lower() in KEYWORDS
+        text = f"property {self.name} default {Literal(self.default, quoted).to_source()}"
         if self.inherit is not InheritMode.NONE:
             text += f" {self.inherit.value}"
         return text

@@ -2,13 +2,23 @@
 
 Whitespace (including newlines) is insignificant: rules are delimited by
 the ``done`` keyword and views by ``endview``, so multi-line rules — which
-the paper's own listing line-wraps freely — lex naturally.  ``#`` starts a
-comment running to end of line, as in the paper's annotated listing.
+the paper's own listing line-wraps freely — lex naturally.  In a
+blueprint file ``#`` starts a comment running to end of line, as in the
+paper's annotated listing.  Standalone expression text (a policy
+condition, a query) has no comments: there a ``#`` is a bad character,
+so a condition never loses the text after one.
 """
 
 from __future__ import annotations
 
-from repro.core.lang.tokens import BlueprintSyntaxError, Token, TokenKind
+import re
+
+from repro.core.lang.tokens import (
+    EXPRESSION_KEYWORDS,
+    BlueprintSyntaxError,
+    Token,
+    TokenKind,
+)
 
 _PUNCT = {
     "=": TokenKind.EQUALS,
@@ -30,8 +40,27 @@ def _is_ident_char(ch: str) -> bool:
     return ch.isalnum() or ch in "_-."
 
 
-def tokenize(source: str) -> list[Token]:
-    """Tokenize blueprint *source*; always ends with an EOF token."""
+_NUMBER_RE = re.compile(r"-?\d+(\.\d+)?")
+
+
+def is_literal_word(text: str) -> bool:
+    """True when *text* lexes as one identifier that an expression reads
+    back as a bare-word literal: not ``and``/``or``/``not``/``true``/
+    ``false`` in any letter case."""
+    return (
+        bool(text)
+        and _is_ident_start(text[0])
+        and all(map(_is_ident_char, text[1:]))
+        and text.lower() not in EXPRESSION_KEYWORDS
+    )
+
+
+def tokenize(source: str, *, comments: bool = True) -> list[Token]:
+    """Tokenize *source*; always ends with an EOF token.
+
+    ``comments=False`` lexes standalone expression text, where ``#`` is
+    a bad character rather than the start of a comment.
+    """
     tokens: list[Token] = []
     line = 1
     column = 1
@@ -50,10 +79,10 @@ def tokenize(source: str) -> list[Token]:
 
     while index < length:
         ch = source[index]
-        if ch in " \t\r\n":
+        if ch.isspace():
             advance(1)
             continue
-        if ch == "#":
+        if ch == "#" and comments:
             while index < length and source[index] != "\n":
                 advance(1)
             continue
@@ -114,14 +143,12 @@ def tokenize(source: str) -> list[Token]:
             advance(1)
             while index < length and (source[index].isdigit() or source[index] == "."):
                 advance(1)
-            tokens.append(
-                Token(
-                    TokenKind.NUMBER,
-                    source[number_start:index],
-                    start_line,
-                    start_column,
+            text = source[number_start:index]
+            if not _NUMBER_RE.fullmatch(text):
+                raise BlueprintSyntaxError(
+                    f"malformed number {text!r}", start_line, start_column
                 )
-            )
+            tokens.append(Token(TokenKind.NUMBER, text, start_line, start_column))
             continue
         if _is_ident_start(ch):
             ident_start = index

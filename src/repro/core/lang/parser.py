@@ -40,6 +40,19 @@ def parse_blueprint(source: str) -> BlueprintDecl:
     return _Parser(tokenize(source)).parse_blueprint()
 
 
+def parse_expression(source: str) -> ex.Expression:
+    """Parse standalone expression *source* (a policy condition, a
+    ``find`` query, a task goal) with the grammar of a ``let`` value.
+
+    The whole text must be one expression, and it has no comments.
+    """
+    parser = _Parser(tokenize(source, comments=False))
+    expression = parser.parse_expression()
+    if parser.current.kind is not TokenKind.EOF:
+        raise parser.fail("expected end of expression")
+    return expression
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]) -> None:
         self.tokens = tokens
@@ -176,10 +189,17 @@ class _Parser:
         if token.kind is TokenKind.IDENT:
             # values like 'bad', 'true', 'not_equiv' are bare words; real
             # keywords (copy/move/when/...) cannot be property values
-            if token.keyword in ("true", "false") or token.keyword is None:
+            if self.at_value_word():
                 self.advance()
                 return token.text
         raise self.fail(f"expected {what}")
+
+    def at_value_word(self) -> bool:
+        return self.current.kind is TokenKind.IDENT and self.current.keyword in (
+            None,
+            "true",
+            "false",
+        )
 
     def parse_let(self) -> LetDecl:
         self.expect_keyword("let")
@@ -293,7 +313,7 @@ class _Parser:
             elif token.kind is TokenKind.VARREF:
                 self.advance()
                 args.append(f"${token.text}")
-            elif token.kind is TokenKind.IDENT and token.keyword is None:
+            elif self.at_value_word():
                 args.append(self.advance().text)
             elif token.kind is TokenKind.NUMBER:
                 args.append(self.advance().text)
@@ -310,10 +330,6 @@ class _Parser:
         return NotifyAction(message=token.text)
 
     # -- expressions ---------------------------------------------------------
-    #
-    # The expression grammar mirrors repro.core.expressions but reads the
-    # blueprint token stream, producing the same AST node classes so one
-    # evaluator serves both standalone and embedded expressions.
 
     def parse_expression(self) -> ex.Expression:
         return self.parse_or()
@@ -365,14 +381,9 @@ class _Parser:
         if token.kind is TokenKind.STRING:
             self.advance()
             return ex.Literal(token.text, quoted=True)
-        if token.kind is TokenKind.IDENT:
-            if token.keyword == "true":
-                self.advance()
-                return ex.Literal(True)
-            if token.keyword == "false":
-                self.advance()
-                return ex.Literal(False)
-            if token.keyword is None:
-                self.advance()
-                return ex.Literal(token.text)
+        if token.kind is TokenKind.IDENT and token.keyword not in ("and", "or", "not"):
+            self.advance()
+            if token.keyword in ("true", "false"):
+                return ex.Literal(token.keyword == "true")
+            return ex.Literal(token.text)
         raise self.fail("expected an expression")

@@ -26,8 +26,13 @@ class TokenKind(enum.Enum):
     EOF = "eof"
 
 
+#: Keywords with a meaning inside an expression: the operators and the
+#: boolean literals.  Every other keyword reads as a bare-word literal
+#: where an expression expects an atom (``$state == done``).
+EXPRESSION_KEYWORDS = frozenset({"and", "or", "not", "true", "false"})
+
 #: Reserved words of the language (checked case-insensitively).
-KEYWORDS = frozenset(
+KEYWORDS = EXPRESSION_KEYWORDS | frozenset(
     {
         "blueprint",
         "endblueprint",
@@ -51,9 +56,6 @@ KEYWORDS = frozenset(
         "use_link",
         "propagates",
         "type",
-        "and",
-        "or",
-        "not",
     }
 )
 

@@ -676,8 +676,6 @@ class GovernedPolicy:
         if explicit and engine is not None:
             engine.swap_blueprint(document.make_blueprint())
             apply_blueprint_to_links(engine.blueprint, engine.db)
-        if engine is not None and hasattr(engine, "attach_governor"):
-            engine.attach_governor(self)
 
     # -- lock-free gauges (ints, read by the health command) ----------
 

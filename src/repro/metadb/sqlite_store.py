@@ -196,11 +196,11 @@ def _read_header(connection: sqlite3.Connection) -> tuple[str, int, int, int]:
 def _read_configurations(
     connection: sqlite3.Connection,
     db: MetaDatabase,
-    has_object: Callable[[OID], bool],
+    stored_objects: Callable[[Iterable[OID]], Iterable[OID]],
     stored_links: Callable[[list[int]], Iterable[int]],
 ) -> ConfigurationRegistry:
     """The stored configurations, each intersected with what *db* holds:
-    objects that fail *has_object* are dropped, and only the link ids
+    only the OIDs *stored_objects* returns and the link ids
     *stored_links* returns are kept."""
     registry = ConfigurationRegistry(db)
     for name, description, created_clock, oids_text, link_ids_text in (
@@ -214,7 +214,7 @@ def _read_configurations(
                 name=name,
                 description=description,
                 oids=frozenset(
-                    filter(has_object, map(OID.parse, json.loads(oids_text)))
+                    stored_objects(map(OID.parse, json.loads(oids_text)))
                 ),
                 link_ids=frozenset(stored_links(json.loads(link_ids_text))),
                 created_clock=created_clock,
@@ -495,7 +495,7 @@ class SqliteBackend:
         registry = _read_configurations(
             connection,
             db,
-            db.__contains__,
+            lambda oids: [oid for oid in oids if oid in db],
             lambda link_ids: [i for i in link_ids if i in db._links],
         )
         # ``max``: the load's own mutations may have advanced them.
@@ -552,7 +552,7 @@ class SqliteBackend:
             # No-fault probes keep a big configuration from paging the
             # window full at open time.
             registry = _read_configurations(
-                connection, db, store.has_object, store.stored_links
+                connection, db, store.stored_objects, store.stored_links
             )
             if store.blocks is not None or store.views is not None:
                 # What the window may save back (see LazySqliteStore.flush).

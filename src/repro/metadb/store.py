@@ -905,17 +905,37 @@ class LazySqliteStore:
         }
 
     @_locked
-    def has_object(self, oid: OID) -> bool:
-        """Existence check that does not fault (configuration loading)."""
-        if dict.__contains__(self._objects, oid):
-            return True
-        if oid.lineage in self._resident or not self._in_window(oid.block, oid.view):
-            return False
-        row = self._require_open().execute(
-            "SELECT 1 FROM objects WHERE block = ? AND view = ? AND version = ?",
-            (oid.block, oid.view, oid.version),
-        ).fetchone()
-        return row is not None
+    def stored_objects(self, oids: Iterable[OID]) -> set[OID]:
+        """The OIDs in *oids* this store holds inside its window, without
+        faulting (configuration loading at open).  Resident lineages
+        answer from memory; the rest take one query per chunk."""
+        found: set[OID] = set()
+        probe: list[OID] = []
+        for oid in oids:
+            if dict.__contains__(self._objects, oid):
+                found.add(oid)
+            elif oid.lineage not in self._resident and self._in_window(
+                oid.block, oid.view
+            ):
+                probe.append(oid)
+        for start in range(0, len(probe), 500):
+            wanted = {
+                (oid.block, oid.view, oid.version): oid
+                for oid in probe[start : start + 500]
+            }
+            found.update(
+                wanted[row]
+                for row in self._require_open().execute(
+                    # a join, not a row-value IN, so each probe is an
+                    # index search rather than a scan of the table
+                    "SELECT o.block, o.view, o.version FROM "
+                    f"(VALUES {', '.join(['(?, ?, ?)'] * len(wanted))}) AS w "
+                    "JOIN objects o ON o.block = w.column1 "
+                    "AND o.view = w.column2 AND o.version = w.column3",
+                    [value for key in wanted for value in key],
+                )
+            )
+        return found
 
     @_locked
     def stored_links(self, link_ids: list[int]) -> set[int]:

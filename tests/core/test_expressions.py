@@ -4,14 +4,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.expressions import (
+    And,
+    Compare,
     Expression,
     ExpressionError,
+    Literal,
     MappingEnvironment,
+    Not,
+    Or,
+    VarRef,
     compile_expression,
     interpolate,
     truthy,
     values_equal,
 )
+from repro.core.lang.ast import BlueprintDecl, LetDecl, ViewDecl
+from repro.core.lang.parser import parse_blueprint
+from repro.core.lang.printer import print_blueprint
+from repro.core.lang.tokens import BlueprintSyntaxError
 
 
 def ev(source: str, **values):
@@ -234,3 +244,109 @@ class TestCompiledEquivalence:
             return  # generator can spell malformed quoted atoms; skip
         env = MappingEnvironment(values)
         assert compile_expression(expr)(env) == expr.evaluate(env)
+
+
+def let_value(source: str) -> Expression:
+    """*source* read as the value of a blueprint ``let``."""
+    blueprint = parse_blueprint(f"view v\n  let x = {source}\nendview\n")
+    return blueprint.views[0].lets[0].value
+
+
+def a_equals(name: str, value) -> Compare:
+    return Compare("==", VarRef(name), Literal(value))
+
+
+class TestOneGrammar:
+    """Standalone text and blueprint files read expressions alike."""
+
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            ("$a == true", a_equals("a", True)),
+            ("$a == false", a_equals("a", False)),
+            ("$a == 1 AND $b == 2", And((a_equals("a", 1), a_equals("b", 2)))),
+            ("NOT $a", Not(VarRef("a"))),
+            ("$x == type", a_equals("x", "type")),
+            ("$x == done", a_equals("x", "done")),
+            ("$x == AND", None),
+            ("$x == 1.2.3", None),
+        ],
+    )
+    def test_both_paths_agree(self, source, expected):
+        if expected is None:
+            with pytest.raises(ExpressionError):
+                Expression.parse(source)
+            with pytest.raises(BlueprintSyntaxError):
+                let_value(source)
+        else:
+            assert Expression.parse(source) == expected
+            assert let_value(source) == expected
+
+    def test_only_a_file_has_comments(self):
+        assert let_value("$a == 1 # c") == a_equals("a", 1)
+        with pytest.raises(ExpressionError, match="bad character '#'"):
+            Expression.parse("$a == 1 # c")
+
+    def test_a_hash_never_shortens_a_condition(self):
+        # read as '$tag == v1' the condition would grant more than it says
+        with pytest.raises(ExpressionError):
+            Expression.parse("$tag == v1#2")
+        assert Expression.parse('$tag == "v1#2"') == Compare(
+            "==", VarRef("tag"), Literal("v1#2", quoted=True)
+        )
+
+    @pytest.mark.parametrize("word", ["and", "AND", "Or", "nOt", "TRUE", "False"])
+    def test_reserved_words_print_quoted(self, word):
+        source = Literal(word).to_source()
+        assert source == f'"{word}"'
+        assert Expression.parse(source) == Literal(word, quoted=True)
+
+    @pytest.mark.parametrize("word", ["done", "type", "copy", "Endview", "good"])
+    def test_other_keywords_print_bare(self, word):
+        assert Literal(word).to_source() == word
+        assert Expression.parse(f"$x == {word}") == a_equals("x", word)
+
+
+_names = st.from_regex(r"[a-z_][a-z0-9_]{0,6}", fullmatch=True)
+_words = st.one_of(
+    st.sampled_from(
+        [
+            "done", "type", "copy", "view", "endview", "let", "Done", "TYPE",
+            "and", "AND", "Or", "nOt", "true", "TRUE", "False", "good",
+            "is_equiv", "a-b", "x.y",
+        ]
+    ),
+    _names,
+)
+_leaves = st.one_of(
+    _names.map(VarRef),
+    _words.map(Literal),
+    st.integers(-999, 999).map(Literal),
+    st.booleans().map(Literal),
+    st.text(alphabet='ab $#"\\', max_size=5).map(
+        lambda text: Literal(text, quoted=True)
+    ),
+)
+_trees = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(
+        st.builds(
+            Compare, st.sampled_from(["==", "!=", "<", "<=", ">", ">="]), inner, inner
+        ),
+        st.lists(inner, min_size=2, max_size=3).map(lambda items: And(tuple(items))),
+        st.lists(inner, min_size=2, max_size=3).map(lambda items: Or(tuple(items))),
+        inner.map(Not),
+    ),
+    max_leaves=10,
+)
+
+
+@given(_trees)
+@settings(max_examples=300, deadline=None)
+def test_printed_trees_read_back_alike_on_both_paths(tree):
+    source = tree.to_source()
+    standalone = Expression.parse(source)
+    view = ViewDecl(name="v", lets=[LetDecl(name="x", value=tree)])
+    in_file = parse_blueprint(print_blueprint(BlueprintDecl(name="p", views=[view])))
+    assert standalone == in_file.views[0].lets[0].value
+    assert standalone.to_source() == source

@@ -38,6 +38,17 @@ class TestBasics:
         assert [t.kind for t in tokens[:-1]] == [TokenKind.NUMBER] * 3
         assert texts("42 -3 2.5") == ["42", "-3", "2.5"]
 
+    @pytest.mark.parametrize("text", ["1.2.3", "1.", "-2.", "4..5"])
+    def test_malformed_numbers_rejected(self, text):
+        with pytest.raises(BlueprintSyntaxError, match="malformed number"):
+            tokenize(text)
+
+    def test_booleans_are_keywords(self):
+        assert [token.keyword for token in tokenize("true FALSE")[:-1]] == [
+            "true",
+            "false",
+        ]
+
     def test_punctuation(self):
         assert kinds("= ; , ( )")[:-1] == [
             TokenKind.EQUALS,
@@ -87,6 +98,11 @@ class TestStrings:
 class TestCommentsAndLayout:
     def test_comment_to_eol(self):
         assert texts("view x # a comment\nendview") == ["view", "x", "endview"]
+
+    def test_expression_text_has_no_comments(self):
+        with pytest.raises(BlueprintSyntaxError, match="bad character '#'"):
+            tokenize("$tag == v1#2", comments=False)
+        assert texts('"a#b"') == ["a#b"]  # inside a string it is text
 
     def test_whole_line_comment(self):
         assert texts("# note: keywords appear in bold\nview") == ["view"]

@@ -105,6 +105,28 @@ class TestLetDecl:
         assert len(view.lets) == 1
         assert len(view.properties) == 1
 
+    def test_true_false_are_booleans_in_any_case(self):
+        ast = parse_blueprint("view v let s = ($a == TRUE) or ($b == false) endview")
+        assert ast.view("v").lets[0].value.items == (
+            Compare("==", VarRef("a"), Literal(True)),
+            Compare("==", VarRef("b"), Literal(False)),
+        )
+
+    def test_keyword_is_a_literal_where_an_atom_is_expected(self):
+        ast = parse_blueprint("view v when e do s = done done endview")
+        assert ast.view("v").rules[0].actions[0].value == Literal("done")
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "view v when touch do rev = 1.2.3 done endview",
+            "view v property rev default 1.2.3 endview",
+        ],
+    )
+    def test_malformed_number_is_a_syntax_error(self, source):
+        with pytest.raises(BlueprintSyntaxError, match="malformed number"):
+            parse_blueprint(source)
+
 
 class TestLinkDecls:
     def test_move_after_view_name(self):
@@ -210,6 +232,10 @@ class TestWhenRules:
     def test_exec_bare_varref_arg(self):
         ast = parse_blueprint("view v when e do exec tool $oid extra done endview")
         assert ast.view("v").rules[0].actions[0].args == ("$oid", "extra")
+
+    def test_exec_boolean_args(self):
+        ast = parse_blueprint("view v when e do exec tool true FALSE done endview")
+        assert ast.view("v").rules[0].actions[0].args == ("true", "FALSE")
 
     def test_notify_paper_example(self):
         ast = parse_blueprint(

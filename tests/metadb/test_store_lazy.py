@@ -476,6 +476,29 @@ class TestReviewRegressions:
         _window, window_registry = open_lazy(path, blocks={"b0", "b399"})
         assert window_registry.get("all").link_ids == {1, 2, 799, 800}
 
+    def test_configurations_keep_objects_past_one_query_chunk(self, tmp_path):
+        from repro.metadb.configurations import Configuration, ConfigurationRegistry
+
+        db = build_db(200)  # 600 objects: more OIDs than one IN (...) chunk
+        registry = ConfigurationRegistry(db)
+        registry.save(Configuration.snapshot(db, "all"))
+        db.remove_object(OID("b199", "layout", 1))
+        path = save_database(db, tmp_path / "cfg.sqlite", registry)
+        every = frozenset(
+            OID(f"b{index}", view, 1) for index in range(200) for view in VIEWS
+        )
+        lazy, lazy_registry = open_lazy(path)
+        assert lazy_registry.get("all").oids == every - {OID("b199", "layout", 1)}
+        assert lazy.store.stats()["resident_objects"] == 0  # probed, not faulted
+        _window, window_registry = open_lazy(path, blocks={"b0", "b199"})
+        assert window_registry.get("all").oids == {
+            OID("b0", "rtl", 1),
+            OID("b0", "gate", 1),
+            OID("b0", "layout", 1),
+            OID("b199", "rtl", 1),
+            OID("b199", "gate", 1),
+        }
+
     def test_window_counts_follow_a_flush(self, saved):
         _db, path = saved
         window, _ = open_lazy(path, blocks={"b0", "b1"})

@@ -23,24 +23,24 @@ from repro.core.lang.ast import (
 )
 from repro.core.lang.parser import parse_blueprint
 from repro.core.lang.printer import print_blueprint
+from repro.core.lang.tokens import KEYWORDS
 from repro.metadb.links import Direction
 from repro.metadb.versions import InheritMode
 
 # identifiers that cannot collide with language keywords
 idents = st.from_regex(r"[a-z][a-z0-9_]{2,8}", fullmatch=True).filter(
-    lambda s: s
-    not in {
-        "blueprint", "endblueprint", "view", "endview", "property", "default",
-        "copy", "move", "let", "when", "do", "done", "post", "exec", "notify",
-        "up", "down", "to", "link_from", "use_link", "propagates", "type",
-        "and", "or", "not", "true", "false",
-    }
+    lambda s: s not in KEYWORDS
 )
 
 simple_values = st.one_of(
     idents,
     st.booleans(),
     st.integers(0, 999),
+    # words and numbers that print quoted or without an exponent
+    st.sampled_from(["done", "copy", "AND", "Or", "when", "a b", "x#y", "", "42"]),
+    st.floats(allow_nan=False, allow_infinity=False).filter(
+        lambda number: not number.is_integer()
+    ),
 )
 
 message_text = st.from_regex(r"[a-zA-Z0-9 $_.:]{0,20}", fullmatch=True)

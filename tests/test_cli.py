@@ -50,6 +50,14 @@ class TestCheck:
         assert main(["check", str(bad)]) == 1
         assert "syntax error" in capsys.readouterr().out
 
+    def test_malformed_number_is_a_syntax_error(self, tmp_path, capsys):
+        path = tmp_path / "rev.bp"
+        path.write_text("view a when touch do rev = 1.2.3 done endview")
+        assert main(["check", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "syntax error" in out
+        assert "malformed number '1.2.3'" in out
+
     def test_lint_findings_printed(self, tmp_path, capsys):
         path = tmp_path / "warn.bp"
         path.write_text(
@@ -107,6 +115,11 @@ class TestDatabaseCommands:
     def test_query_unknown(self, database_file, capsys):
         db_path, _bp_path = database_file
         assert main(["query", db_path, "zz,v,1"]) == 1
+
+    def test_find_malformed_number_is_a_bad_expression(self, database_file, capsys):
+        db_path, _bp_path = database_file
+        assert main(["find", db_path, "$x == 1.2.3"]) == 2
+        assert "bad expression" in capsys.readouterr().out
 
     def test_dashboard(self, database_file, tmp_path, capsys):
         db_path, bp_path = database_file
