@@ -146,4 +146,4 @@ def test_e10_pushdown_query_benchmark(benchmark, n_objects, tmp_path):
     assert result  # the 1-in-50 stale sprinkling is non-empty
 
     plan = Query(lazy).where_property("owner", "u3").explain()
-    assert plan.strategy in ("sql-pushdown", "resident-index")
+    assert plan.strategy in ("sql-pushdown", "index")

@@ -233,7 +233,7 @@ def cmd_find(args: argparse.Namespace) -> int:
         print(f"bad expression: {exc}")
         return 2
     if getattr(args, "explain", False):
-        # Pushdown vs resident-index vs scan, observable without a debugger.
+        # Pushdown vs index vs scan, observable without a debugger.
         print(f"plan: {plan.describe()}")
     for obj in matches:
         print(obj.oid.dotted())
@@ -664,7 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("oid", help="BLOCK,VIEW,VERSION")
     query.add_argument(
         "--explain", action="store_true",
-        help="print the query plan (sql-pushdown / resident-index / scan)",
+        help="print the query plan (index / sql-pushdown / latest / scan)",
     )
     query.set_defaults(func=cmd_query)
 
@@ -676,7 +676,7 @@ def build_parser() -> argparse.ArgumentParser:
     find.add_argument("--all-versions", action="store_true")
     find.add_argument(
         "--explain", action="store_true",
-        help="print the query plan (sql-pushdown / resident-index / scan)",
+        help="print the query plan (index / sql-pushdown / latest / scan)",
     )
     find.set_defaults(func=cmd_find)
 

@@ -208,36 +208,11 @@ def replay(
     holds every external input in order — and the engine is
     deterministic — the rebuilt database matches the original's state
     exactly (modulo a different blueprint, which is the what-if use).
+    This is :func:`replay_governed` with the policy left out: a plain
+    journal carries no policy revision, so the replayed policy has no
+    event rules and admits every event.
     """
-    db = MetaDatabase(name=db_name)
-    engine = BlueprintEngine(db, blueprint)
-    for entry in journal:
-        if entry.kind == "object":
-            oid = OID.parse(entry.payload["oid"])
-            if db.find(oid) is None:
-                db.create_object(oid, entry.payload.get("properties") or None)
-        elif entry.kind == "link":
-            source = OID.parse(entry.payload["source"])
-            dest = OID.parse(entry.payload["dest"])
-            link_class = LinkClass(entry.payload["class"])
-            exists = any(
-                link.dest == dest and link.link_class is link_class
-                for link in db.outgoing(source)
-            )
-            if not exists and source in db and dest in db:
-                db.add_link(source, dest, link_class)
-        elif entry.kind == "event":
-            engine.post(
-                entry.payload["name"],
-                OID.parse(entry.payload["target"]),
-                Direction(entry.payload["direction"]),
-                arg=entry.payload.get("arg", ""),
-                user=entry.payload.get("user", ""),
-            )
-            engine.run()
-        else:
-            raise JournalError(f"unknown journal entry kind {entry.kind!r}")
-    engine.run()
+    db, engine, _policy = replay_governed(journal, blueprint, db_name=db_name)
     return db, engine
 
 

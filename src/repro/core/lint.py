@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Iterator
 
 from repro.core.blueprint import Blueprint
+from repro.core.expressions import And, Compare, Expression, Literal, Not, Or
 from repro.core.lang.ast import AssignAction, ExecAction, PostAction
 
 
@@ -56,6 +58,7 @@ def lint_blueprint(blueprint: Blueprint) -> list[Finding]:
     findings.extend(_check_let_inputs_written(blueprint))
     findings.extend(_check_assigned_properties_declared(blueprint))
     findings.extend(_check_exec_without_args(blueprint))
+    findings.extend(_check_keyword_values(blueprint))
     findings.sort(key=lambda f: (_SEVERITY_ORDER[f.severity], f.code, f.location))
     return findings
 
@@ -313,3 +316,56 @@ def _check_exec_without_args(blueprint: Blueprint) -> list[Finding]:
                             )
                         )
     return findings
+
+
+#: Keywords that open or close a declaration.  The rule language reads
+#: any other word where a value belongs as a bare-word literal
+#: (``$state == done``), so when a value is missing the next
+#: declaration's keyword becomes the value: ``let x = $a ==`` followed
+#: by ``endview`` parses as ``x = ($a == "endview")``.
+_STRUCTURAL_KEYWORDS = frozenset(
+    {"endview", "view", "endblueprint", "when", "let", "property",
+     "link_from", "use_link"}
+)
+
+
+def _check_keyword_values(blueprint: Blueprint) -> list[Finding]:
+    """A bare-word value spelling a structural keyword means the value
+    before it is missing."""
+    findings = []
+    for view in blueprint.declaration.views:
+        expressions = [(f"let {let.name}", let.value) for let in view.lets]
+        expressions += [
+            (f"'when {rule.event}' assigns {action.name}", action.value)
+            for rule in view.rules
+            for action in rule.actions
+            if isinstance(action, AssignAction)
+        ]
+        for where, expression in expressions:
+            for word in _bare_words(expression):
+                if word.lower() in _STRUCTURAL_KEYWORDS:
+                    findings.append(
+                        Finding(
+                            "BP050",
+                            Severity.ERROR,
+                            f"view {view.name}",
+                            f"{where} reads the keyword {word!r} as a "
+                            f"value: the value before it is missing",
+                        )
+                    )
+    return findings
+
+
+def _bare_words(expression: Expression) -> Iterator[str]:
+    """The unquoted string literals of *expression*."""
+    if isinstance(expression, Literal):
+        if not expression.quoted and isinstance(expression.value, str):
+            yield expression.value
+    elif isinstance(expression, Compare):
+        yield from _bare_words(expression.left)
+        yield from _bare_words(expression.right)
+    elif isinstance(expression, (And, Or)):
+        for item in expression.items:
+            yield from _bare_words(item)
+    elif isinstance(expression, Not):
+        yield from _bare_words(expression.item)

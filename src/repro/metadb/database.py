@@ -132,13 +132,10 @@ class MetaDatabase:
         """The incrementally maintained stale set: latest versions whose
         stale property (``uptodate`` by default) equals ``False``.
 
-        Under a lazy store this is the union of the resident stale set
-        and a SQL pushdown over the non-resident shards — still
-        O(result), never a full load.
+        O(result) under a lazy store too, never a full load (see
+        :meth:`IndexRegistry.stale_oids`).
         """
-        if self.lazy:
-            return frozenset(self._indexes.stale_full())
-        return frozenset(self._indexes.stale)
+        return self._indexes.stale_oids()
 
     def on_stale_change(self, listener: Callable[[OID, bool], None]) -> None:
         """Register *listener(oid, is_stale)* on stale-set transitions.
@@ -386,17 +383,10 @@ class MetaDatabase:
 
     def latest_version(self, block: str, view: str) -> MetaObject | None:
         """The highest-numbered version of (block, view), if any."""
-        if self.lazy:
-            # Route through the lineage map so a non-resident shard
-            # faults in; the resident latest index only covers the window.
-            versions = self._lineages.get((block, view))
-            if not versions:
-                return None
-            return self._objects[OID(block, view, versions[-1])]
-        latest = self._indexes.latest.get((block, view))
-        if latest is None:
+        lineage = (block, view)
+        if lineage not in self._lineages:  # faults a lazy lineage in
             return None
-        return self._objects[latest]
+        return self._objects[self._indexes.latest[lineage]]
 
     def previous_version(self, oid: OID) -> MetaObject | None:
         """The newest version of *oid*'s lineage older than *oid*."""
@@ -411,17 +401,11 @@ class MetaDatabase:
 
     def blocks_of_view(self, view: str) -> list[str]:
         """All block names that have at least one version in *view*."""
-        resident = {oid.block for oid in self._indexes.by_view.get(view, ())}
-        if self.lazy:
-            resident |= self._indexes.pushdown.blocks_of_view(view)
-        return sorted(resident)
+        return sorted(self._indexes.blocks_of_view(view))
 
     def views_of_block(self, block: str) -> list[str]:
         """All view types that block has at least one version in."""
-        resident = {oid.view for oid in self._indexes.by_block.get(block, ())}
-        if self.lazy:
-            resident |= self._indexes.pushdown.views_of_block(block)
-        return sorted(resident)
+        return sorted(self._indexes.views_of_block(block))
 
     # ------------------------------------------------------------------
     # links
@@ -650,7 +634,7 @@ class MetaDatabase:
             "derive_links": sum(
                 1 for l in self._links.values() if l.link_class is LinkClass.DERIVE
             ),
-            "stale": len(self._indexes.stale),
+            "stale": len(self._indexes.stale_oids()),
             "clock": self._seq,
         }
 

@@ -26,11 +26,19 @@ The registry never reaches back into the database: the database calls the
 ``link_touched`` maintenance hooks from its mutators (including the
 rollback path of :meth:`~repro.metadb.database.MetaDatabase.transaction`),
 which is what keeps index state and store state in lock-step.
+
+The buckets above cover the *resident* objects.  The registry is also
+the one place that knows a database may keep rows on disk: every lookup
+(``view_oids``, ``block_oids``, ``property_oids``, ``matching_oids``,
+``latest_oids``, ``stale_oids``, ``blocks_of_view``, ``views_of_block``,
+``view_counts``) answers for the whole logical database as the resident
+buckets ∪ the store's SQL side (``pushdown``).  A lazy store installs
+itself as that side; for an in-memory database it is empty.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable, Collection, Iterable
 
 from repro.metadb.links import Direction, Link
 from repro.metadb.objects import MetaObject
@@ -43,6 +51,29 @@ DEFAULT_STALE_PROPERTY = "uptodate"
 #: Listener signature for stale-set membership changes: the OID that
 #: moved and ``True`` when it entered the set, ``False`` when it left.
 StaleListener = Callable[[OID, bool], None]
+
+
+class _NoSqlSide:
+    """The SQL side of a database whose rows are all resident: every
+    lookup finds nothing there."""
+
+    def _nothing(self, *_args) -> frozenset:
+        return frozenset()
+
+    view_oids = block_oids = property_oids = property_values = _nothing
+    latest_oids = stale_oids = blocks_of_view = views_of_block = _nothing
+
+    def view_counts(self) -> dict[str, int]:
+        return {}
+
+
+def _union(
+    resident: Collection[OID], disk: set[OID] | frozenset[OID]
+) -> tuple[Collection[OID], bool]:
+    """*resident* ∪ *disk*, and whether *disk* added anything."""
+    if disk:
+        return disk.union(resident), True
+    return resident, False
 
 
 class IndexRegistry:
@@ -62,11 +93,10 @@ class IndexRegistry:
         self.stale: set[OID] = set()
         self._adjacency: dict[tuple[OID, Direction], tuple[tuple[Link, OID], ...]] = {}
         self._stale_listeners: list[StaleListener] = []
-        #: Non-resident lookup provider installed by a lazy store
-        #: (:class:`repro.metadb.store.LazySqliteStore`).  When set, the
-        #: in-memory buckets only cover *resident* objects and
-        #: :meth:`stale_full` unions them with a SQL pushdown.
-        self.pushdown = None
+        #: The store's SQL side: answers each lookup for the rows that
+        #: are not resident.  A lazy store
+        #: (:class:`repro.metadb.store.LazySqliteStore`) installs itself.
+        self.pushdown = _NoSqlSide()
 
     # ------------------------------------------------------------------
     # stale-set change listeners
@@ -220,36 +250,80 @@ class IndexRegistry:
         self._adjacency.pop((oid, Direction.DOWN), None)
 
     # ------------------------------------------------------------------
-    # lookups the planner uses
+    # lookups over the whole logical database
     # ------------------------------------------------------------------
+    #
+    # Resident buckets ∪ the SQL side.  The SQL side leaves resident
+    # lineages out (memory is authoritative there), so the two halves
+    # are disjoint.  The OID lookups the planner picks from also say
+    # whether the SQL side supplied any candidate; when it did not, the
+    # answer is the resident bucket itself, which callers must not
+    # mutate.
+
+    def view_oids(self, view: str) -> tuple[Collection[OID], bool]:
+        """Every OID of *view* (all versions)."""
+        return _union(self.by_view.get(view, ()), self.pushdown.view_oids(view))
+
+    def block_oids(self, block: str) -> tuple[Collection[OID], bool]:
+        """Every OID of *block* (all versions)."""
+        return _union(self.by_block.get(block, ()), self.pushdown.block_oids(block))
+
+    def property_oids(self, name: str, value: Value) -> tuple[Collection[OID], bool]:
+        """The OIDs whose property *name* equals *value* (any version)."""
+        return _union(
+            self.property_bucket(name, value),
+            self.pushdown.property_oids(name, value),
+        )
+
+    def matching_oids(
+        self, name: str, value: Value, equals: Callable[[Value, Value], bool]
+    ) -> tuple[Collection[OID], bool]:
+        """The OIDs whose property *name* holds a value that
+        ``equals(held, value)`` accepts (any version)."""
+        resident: set[OID] = set()
+        for key, bucket in self.by_property.get(name, {}).items():
+            if equals(key, value):
+                resident |= bucket
+        disk: set[OID] = set()
+        for disk_value in self.pushdown.property_values(name):
+            if equals(disk_value, value):
+                disk |= self.pushdown.property_oids(name, disk_value)
+        return _union(resident, disk)
+
+    def latest_oids(self) -> tuple[Collection[OID], bool]:
+        """The head of every lineage."""
+        return _union(self.latest.values(), self.pushdown.latest_oids())
+
+    def stale_oids(self) -> frozenset[OID]:
+        """The stale set: lineage heads whose stale property is False."""
+        return frozenset(
+            self.stale.union(self.pushdown.stale_oids(self.stale_property))
+        )
+
+    def blocks_of_view(self, view: str) -> set[str]:
+        """Every block with at least one version in *view*."""
+        blocks = {oid.block for oid in self.by_view.get(view, ())}
+        return blocks.union(self.pushdown.blocks_of_view(view))
+
+    def views_of_block(self, block: str) -> set[str]:
+        """Every view *block* has at least one version in."""
+        views = {oid.view for oid in self.by_block.get(block, ())}
+        return views.union(self.pushdown.views_of_block(block))
+
+    def view_counts(self) -> dict[str, int]:
+        """Number of objects per view (all versions)."""
+        counts = {view: len(oids) for view, oids in self.by_view.items()}
+        for view, count in self.pushdown.view_counts().items():
+            counts[view] = counts.get(view, 0) + count
+        return counts
 
     def property_bucket(self, name: str, value: Value) -> set[OID]:
-        """The OIDs whose property *name* equals *value* (any version)."""
+        """The resident OIDs whose property *name* equals *value*."""
         return self.by_property.get(name, {}).get(value, set())
 
     def is_latest(self, oid: OID) -> bool:
+        """Whether *oid* heads its lineage (resident lineages only)."""
         return self.latest.get(oid.lineage) == oid
-
-    def latest_oids(self) -> Iterable[OID]:
-        return self.latest.values()
-
-    # ------------------------------------------------------------------
-    # faulting-aware lookup (resident index ∪ SQL pushdown)
-    # ------------------------------------------------------------------
-    #
-    # With no pushdown installed this reduces to the resident set — the
-    # eager path pays nothing.  With one installed, the resident set
-    # covers exactly the resident lineages and the pushdown covers
-    # exactly the rest (the store excludes resident lineages itself), so
-    # the union is the complete logical answer without a full load.
-    # ``Query`` builds its own resident and pushdown sets per plan.
-
-    def stale_full(self) -> set[OID]:
-        """The complete logical stale set (resident ∪ pushdown)."""
-        oids = set(self.stale)
-        if self.pushdown is not None:
-            oids |= self.pushdown.stale_oids(self.stale_property)
-        return oids
 
     # ------------------------------------------------------------------
     # internals

@@ -22,7 +22,7 @@ indexes entirely for equivalence testing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Collection, Iterable
 
 from repro.metadb.database import MetaDatabase
 from repro.metadb.objects import MetaObject
@@ -38,15 +38,14 @@ class QueryPlan:
 
     ``strategy`` is one of:
 
-    * ``"index"`` — candidates came from the named secondary index
-      (eager database: everything is resident);
-    * ``"resident-index"`` — lazy database, but every candidate was
-      already resident; the secondary index answered alone;
-    * ``"sql-pushdown"`` — lazy database: the named lookup was pushed
-      down to the SQLite indexes for the non-resident shards and
-      unioned with the resident index (no full load);
+    * ``"index"`` — candidates came from the named secondary index;
+    * ``"sql-pushdown"`` — as ``"index"``, but the store's SQL side
+      supplied candidates the resident index did not hold (a lazy
+      database: those shards fault in, nothing more);
     * ``"latest"`` — candidates are the latest-version set (no usable
-      index, but ``latest_only`` bounds the scan to one OID per lineage);
+      index, but ``latest_only`` bounds the scan to one OID per lineage;
+      ``"sql-pushdown"`` with index ``latest`` when the SQL side
+      supplied lineage heads);
     * ``"scan"`` — full object scan (on a lazy database this faults
       everything in — the planner's job is to avoid it).
     """
@@ -159,124 +158,58 @@ class Query:
 
     # -- planning ------------------------------------------------------------
 
-    def _loose_resident(
+    def _loose_oids(
         self, name: str, value: Value, equals, kind: str
-    ) -> set[OID]:
-        """Resident candidates for one loose hint."""
+    ) -> tuple[Collection[OID], bool]:
+        """Candidates for one loose hint, and whether the SQL side
+        supplied any."""
         indexes = self.db.indexes
-        oids: set[OID] = set()
-        if kind == "view" and isinstance(value, str):
-            oids |= indexes.by_view.get(value, set())
-        elif kind == "block" and isinstance(value, str):
-            oids |= indexes.by_block.get(value, set())
-        for key, bucket in indexes.by_property.get(name, {}).items():
-            if equals(key, value):
-                oids |= bucket
-        return oids
-
-    def _loose_pushdown(
-        self, name: str, value: Value, equals, kind: str
-    ) -> set[OID]:
-        """Non-resident candidates for one loose hint (lazy stores only)."""
-        push = self.db.indexes.pushdown
-        oids: set[OID] = set()
-        if kind == "view" and isinstance(value, str):
-            oids |= push.view_oids(value)
-        elif kind == "block" and isinstance(value, str):
-            oids |= push.block_oids(value)
-        for disk_value in push.property_values(name):
-            if equals(disk_value, value):
-                oids |= push.property_oids(name, disk_value)
-        return oids
-
-    def _index_options(self) -> list[tuple[str, set[OID]]]:
-        """Candidate sets the secondary indexes can answer, labelled."""
-        indexes = self.db.indexes
-        options: list[tuple[str, set[OID]]] = []
-        for view in self._views:
-            options.append((f"view={view}", indexes.by_view.get(view, set())))
-        for block in self._blocks:
-            options.append((f"block={block}", indexes.by_block.get(block, set())))
-        for name, value in self._property_eqs:
-            options.append(
-                (f"property {name}={value!r}", indexes.property_bucket(name, value))
-            )
-        for name, value, equals, kind in self._loose:
-            options.append(
-                (
-                    f"{kind}~{name}={value!r}",
-                    self._loose_resident(name, value, equals, kind),
-                )
-            )
-        return options
+        oids, from_sql = indexes.matching_oids(name, value, equals)
+        if kind in ("view", "block") and isinstance(value, str):
+            lookup = indexes.view_oids if kind == "view" else indexes.block_oids
+            named, named_from_sql = lookup(value)
+            oids, from_sql = set(oids).union(named), from_sql or named_from_sql
+        return oids, from_sql
 
     def _plan(self) -> tuple[QueryPlan, Iterable[MetaObject]]:
-        """Pick the most selective candidate source."""
-        if self.db.lazy:
-            return self._plan_lazy()
-        options = self._index_options()
-        if options:
-            label, oids = min(options, key=lambda option: len(option[1]))
-            objects = self.db._objects  # candidate materialisation, read-only
-            if self._latest_only:
-                indexes = self.db.indexes
-                candidates: Iterable[MetaObject] = (
-                    objects[oid] for oid in oids if indexes.is_latest(oid)
-                )
-            else:
-                candidates = (objects[oid] for oid in oids)
-            return QueryPlan("index", label, len(oids)), candidates
-        return self._scan_plan()
+        """Pick the most selective candidate source.
 
-    def _plan_lazy(self) -> tuple[QueryPlan, Iterable[MetaObject]]:
-        """The faulting-aware plan: resident index ∪ SQL pushdown.
-
-        Candidate materialisation faults each OID's shard in; the window
-        therefore grows by O(candidates), never by O(database).  The
-        ``is_latest`` check runs *after* the fault so the resident latest
-        index is authoritative for every candidate it sees.
+        Every lookup answers for the whole logical database (resident
+        index ∪ the store's SQL side, see
+        :class:`~repro.metadb.indexes.IndexRegistry`).  Candidate
+        materialisation faults each OID's shard in on a lazy database,
+        so its window grows by O(candidates), never by O(database).
         """
         indexes = self.db.indexes
-        push = indexes.pushdown
-        options: list[tuple[str, set[OID], set[OID]]] = []
+        options: list[tuple[str, Collection[OID], bool]] = []
         for view in self._views:
-            options.append(
-                (f"view={view}", set(indexes.by_view.get(view, set())),
-                 push.view_oids(view))
-            )
+            options.append((f"view={view}", *indexes.view_oids(view)))
         for block in self._blocks:
-            options.append(
-                (f"block={block}", set(indexes.by_block.get(block, set())),
-                 push.block_oids(block))
-            )
+            options.append((f"block={block}", *indexes.block_oids(block)))
         for name, value in self._property_eqs:
             options.append(
-                (f"property {name}={value!r}",
-                 set(indexes.property_bucket(name, value)),
-                 push.property_oids(name, value))
+                (f"property {name}={value!r}", *indexes.property_oids(name, value))
             )
         for name, value, equals, kind in self._loose:
             options.append(
-                (f"{kind}~{name}={value!r}",
-                 self._loose_resident(name, value, equals, kind),
-                 self._loose_pushdown(name, value, equals, kind))
+                (f"{kind}~{name}={value!r}", *self._loose_oids(name, value, equals, kind))
             )
         if options:
-            label, resident, remote = min(
-                options, key=lambda option: len(option[1]) + len(option[2])
-            )
-            oids = resident | remote
-            strategy = "sql-pushdown" if remote else "resident-index"
+            label, oids, from_sql = min(options, key=lambda option: len(option[1]))
+            strategy = "sql-pushdown" if from_sql else "index"
             return QueryPlan(strategy, label, len(oids)), self._materialise(oids)
         if self._latest_only:
-            remote = push.latest_oids()
-            oids = set(indexes.latest.values()) | remote
-            strategy = "sql-pushdown" if remote else "latest"
-            index = "latest" if remote else None
-            return QueryPlan(strategy, index, len(oids)), self._materialise(oids)
+            oids, from_sql = indexes.latest_oids()
+            if from_sql:
+                plan = QueryPlan("sql-pushdown", "latest", len(oids))
+            else:
+                plan = QueryPlan("latest", None, len(oids))
+            return plan, self._materialise(oids)
         return QueryPlan("scan"), self.db.objects()
 
-    def _materialise(self, oids: set[OID]) -> Iterable[MetaObject]:
+    def _materialise(self, oids: Collection[OID]) -> Iterable[MetaObject]:
+        """The candidate objects; ``is_latest`` runs after the fault, so
+        the resident latest index is authoritative for each one."""
         objects = self.db._objects
         indexes = self.db.indexes
         for oid in oids:
@@ -286,15 +219,6 @@ class Query:
             if self._latest_only and not indexes.is_latest(oid):
                 continue
             yield obj
-
-    def _scan_plan(self) -> tuple[QueryPlan, Iterable[MetaObject]]:
-        if self._latest_only:
-            objects = self.db._objects
-            candidates: Iterable[MetaObject] = (
-                objects[oid] for oid in self.db.indexes.latest_oids()
-            )
-            return QueryPlan("latest"), candidates
-        return QueryPlan("scan"), self.db.objects()
 
     def explain(self) -> QueryPlan:
         """The plan ``select`` would execute right now."""
@@ -378,13 +302,10 @@ def stale_objects(
     states mid-wave.
     """
     if property_name == db.indexes.stale_property:
+        # On a lazy database this faults in O(result) shards, never the
+        # whole database.
         objects = db._objects
-        if db.lazy:
-            # Resident stale ∪ SQL pushdown; materialising the result
-            # faults in O(result) shards, never the whole database.
-            result = [objects[oid] for oid in db.indexes.stale_full()]
-        else:
-            result = [objects[oid] for oid in db.indexes.stale]
+        result = [objects[oid] for oid in db.indexes.stale_oids()]
         result.sort(key=lambda obj: obj.oid.sort_key())
         return result
     return (
@@ -425,7 +346,4 @@ def property_histogram(
 
 def view_census(db: MetaDatabase) -> dict[str, int]:
     """Number of objects per view type (all versions)."""
-    census = {
-        view: len(oids) for view, oids in db.indexes.by_view.items()
-    }
-    return dict(sorted(census.items()))
+    return dict(sorted(db.indexes.view_counts().items()))

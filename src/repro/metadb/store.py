@@ -22,10 +22,11 @@ lean on these):
 2. **Memory is authoritative for resident lineages; SQL for the rest.**
    Dirty shards are pinned (never evicted before :meth:`flush`), so a
    non-resident lineage's disk rows are always current.  This is what
-   lets :class:`~repro.metadb.indexes.IndexRegistry` answer
-   ``by_property`` / ``stale`` / ``latest`` for non-resident objects by
-   pushing the lookup down to SQL and unioning with the resident
-   indexes.
+   lets :class:`~repro.metadb.indexes.IndexRegistry` answer every
+   lookup (view, block, property value, latest, stale, the block/view
+   name lists and the per-view counts) for the whole database as its
+   resident buckets ∪ this store's SQL side, which leaves resident
+   lineages out.
 3. **The observer channel reports logical transitions only.**  Faulting
    a stale object in (or evicting one) moves it between the SQL side
    and the resident side of the stale set without changing the logical
@@ -880,29 +881,36 @@ class LazySqliteStore:
         ).fetchall()
         return self._non_resident(rows)
 
+    def _non_resident_lineages(self) -> Iterable[tuple[tuple[str, str], int]]:
+        """``(lineage, object count)`` of every window lineage on disk
+        that is not resident."""
+        if self._all_objects:
+            return ()
+        return (
+            (lineage, size)
+            for lineage, size in self._disk_lineage_sizes().items()
+            if lineage not in self._resident
+        )
+
     @_locked
     def blocks_of_view(self, view: str) -> set[str]:
-        if self._all_objects:
-            return set()
         return {
-            block
-            for (block,) in self._require_open().execute(
-                "SELECT DISTINCT block FROM objects WHERE view = ?", (view,)
-            )
-            if self._in_window(block, view)
+            block for (block, of), _ in self._non_resident_lineages() if of == view
         }
 
     @_locked
     def views_of_block(self, block: str) -> set[str]:
-        if self._all_objects:
-            return set()
         return {
-            view
-            for (view,) in self._require_open().execute(
-                "SELECT DISTINCT view FROM objects WHERE block = ?", (block,)
-            )
-            if self._in_window(block, view)
+            view for (of, view), _ in self._non_resident_lineages() if of == block
         }
+
+    @_locked
+    def view_counts(self) -> dict[str, int]:
+        """Objects per view in the non-resident lineages."""
+        counts: dict[str, int] = {}
+        for (_block, view), size in self._non_resident_lineages():
+            counts[view] = counts.get(view, 0) + size
+        return counts
 
     @_locked
     def stored_objects(self, oids: Iterable[OID]) -> set[OID]:

@@ -14,7 +14,7 @@ from repro.metadb.errors import PersistenceError, UnknownOIDError
 from repro.metadb.links import Direction, LinkClass
 from repro.metadb.oid import OID
 from repro.metadb.persistence import load_database, save_database
-from repro.metadb.query import Query, stale_objects
+from repro.metadb.query import Query, stale_objects, view_census
 
 VIEWS = ("rtl", "gate", "layout")
 
@@ -109,6 +109,17 @@ class TestFaulting:
         assert lazy.blocks_of_view("rtl") == db.blocks_of_view("rtl")
         assert lazy.views_of_block("b3") == db.views_of_block("b3")
 
+    def test_emptied_lineage_leaves_name_lists(self, saved):
+        db, path = saved
+        lazy, _ = open_lazy(path)
+        for each in (db, lazy):
+            each.remove_object(OID("b3", "rtl", 1))
+        assert lazy.blocks_of_view("rtl") == db.blocks_of_view("rtl")
+        assert lazy.views_of_block("b3") == db.views_of_block("b3") == [
+            "gate", "layout"
+        ]
+        assert view_census(lazy) == view_census(db)
+
 
 class TestPushdown:
     def test_stale_set_matches_eager_without_full_load(self, saved):
@@ -135,7 +146,7 @@ class TestPushdown:
         # everything the query touched is now resident: the second run
         # needs no pushdown
         assert Query(lazy).where_property("owner", "bob").explain().strategy == (
-            "resident-index"
+            "index"
         )
 
     def test_zero_equals_false_pushdown_semantics(self, tmp_path):
@@ -162,6 +173,20 @@ class TestPushdown:
             assert [o.oid for o in build(lazy).select(force_scan=True)] == [
                 o.oid for o in build(db).select(force_scan=True)
             ]
+
+    def test_view_census_counts_non_resident(self, saved):
+        db, path = saved
+        lazy, _ = open_lazy(path)
+        assert view_census(lazy) == view_census(db) == {
+            "gate": 12, "layout": 12, "rtl": 12
+        }
+        assert lazy.store.stats()["resident_objects"] == 0
+
+    def test_stats_stale_counts_non_resident(self, saved):
+        db, path = saved
+        lazy, _ = open_lazy(path)
+        assert lazy.stats()["stale"] == db.stats()["stale"] == 12
+        assert lazy.stats()["stale"] == len(lazy.stale_set())
 
     def test_latest_only_scan_plan_pushes_down(self, saved):
         _db, path = saved

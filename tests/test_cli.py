@@ -58,6 +58,14 @@ class TestCheck:
         assert "syntax error" in out
         assert "malformed number '1.2.3'" in out
 
+    def test_missing_value_before_keyword_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "swallow.bp"
+        path.write_text("view v\n  let x = $a ==\nendview\n")
+        assert main(["check", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "BP050 [error] view v: let x reads the keyword 'endview'" in out
+        assert "1 error(s)" in out
+
     def test_lint_findings_printed(self, tmp_path, capsys):
         path = tmp_path / "warn.bp"
         path.write_text(
