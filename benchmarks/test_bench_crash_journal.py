@@ -197,7 +197,7 @@ def test_bench_recovery_time(benchmark, n_entries, tmp_path, report_printer):
 
     def recover() -> float:
         twin_db, twin_engine = build_stack(8)
-        twin_bus = EventBus(twin_engine, process_after_post=True)
+        twin_bus = EventBus(twin_engine)
         replay_wal = WriteAheadLog(tmp_path / "wal")
         started = time.perf_counter()
         replayed = 0

@@ -12,7 +12,7 @@ plus the modern conveniences (lint, dashboards, journals)::
     damocles query DB.json BLOCK,VIEW,VER  # one OID's properties
     damocles dashboard DB.json FLOW.bp OUT.html
     damocles replay JOURNAL.jsonl FLOW.bp OUT-DB.json
-    damocles convert DB.json DB.sqlite   # cross-backend conversion
+    damocles convert DB.json DB.sqlite   # rewrite in the other format
     damocles serve DB.json FLOW.bp       # TCP project server (push mode)
 
 ``damocles serve`` starts the project server: wrapper scripts post with
@@ -21,10 +21,9 @@ the ``postEvent`` console command, designers ``query``/``stale``/
 turns a connection into a push channel that receives ``STALE <oid>`` /
 ``FRESH <oid>`` the moment a change wave re-buckets an object.
 
-Database paths dispatch on suffix: ``.json`` uses the JSON backend,
-``.sqlite`` / ``.sqlite3`` / ``.db`` the SQLite backend (persisted
-indexes, lazy block/view windows); ``--backend`` overrides the guess
-wherever a database is read or written.
+The path suffix alone picks a database's store: ``.sqlite`` /
+``.sqlite3`` / ``.db`` is SQLite (persisted indexes, lazy block/view
+windows), anything else is JSON.
 
 Every subcommand is a plain function taking parsed args and returning an
 exit code, so tests drive them directly.
@@ -61,11 +60,10 @@ def _csv_set(text: str | None) -> set[str] | None:
 
 
 def _load_db(args: argparse.Namespace):
-    """Load the database named by *args*, honouring ``--backend`` and the
-    lazy/window options (``--lazy``, ``--blocks``, ``--views``)."""
+    """Load the database named by *args*, honouring the lazy/window
+    options (``--lazy``, ``--blocks``, ``--views``)."""
     return load_database(
         args.database,
-        backend=getattr(args, "backend", None),
         lazy=getattr(args, "lazy", False),
         blocks=_csv_set(getattr(args, "blocks", None)),
         views=_csv_set(getattr(args, "views", None)),
@@ -259,7 +257,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     journal = Journal.load(args.journal)
     blueprint = _load_blueprint(args.blueprint)
     db, _engine = replay(journal, blueprint)
-    save_database(db, args.output, backend=getattr(args, "backend", None))
+    save_database(db, args.output)
     print(
         f"replayed {len(journal)} entries -> {db.object_count} objects, "
         f"{db.link_count} links -> {args.output}"
@@ -382,15 +380,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             seq = server.bus.applied_seq
             db.wal_seq = seq
             try:
-                if getattr(db, "lazy", False):
-                    db.flush(registry)
-                else:
-                    save_database(
-                        db,
-                        args.database,
-                        registry,
-                        backend=getattr(args, "backend", None),
-                    )
+                save_database(db, args.database, registry)
                 _write_policy_sidecar(
                     Path(journal_path), seq, server.bus.policy
                 )
@@ -494,9 +484,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             # The database IS the project state: events posted over the
             # wire would otherwise be lost the moment the server exits.
             try:
-                save_database(
-                    db, args.database, registry, backend=getattr(args, "backend", None)
-                )
+                save_database(db, args.database, registry)
             except Exception as exc:  # noqa: BLE001 — report, don't crash out
                 print(f"damocles: shutdown save FAILED ({exc})")
                 exit_code = 1
@@ -586,25 +574,14 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
-    """Convert a saved database between persistence backends."""
-    db, registry = load_database(args.database, backend=args.from_backend)
-    save_database(db, args.output, registry, backend=args.to_backend)
+    """Rewrite a saved database in the format its output suffix names."""
+    db, registry = load_database(args.database)
+    save_database(db, args.output, registry)
     print(
         f"converted {args.database} -> {args.output} "
         f"({db.object_count} objects, {db.link_count} links)"
     )
     return 0
-
-
-def _add_backend_option(subparser: argparse.ArgumentParser) -> None:
-    from repro.metadb.persistence import backend_names
-
-    subparser.add_argument(
-        "--backend",
-        choices=backend_names(),
-        default=None,
-        help="persistence backend (default: guessed from the path suffix)",
-    )
 
 
 def _add_window_options(subparser: argparse.ArgumentParser) -> None:
@@ -690,24 +667,15 @@ def build_parser() -> argparse.ArgumentParser:
     replay_cmd.add_argument("journal")
     replay_cmd.add_argument("blueprint")
     replay_cmd.add_argument("output")
-    _add_backend_option(replay_cmd)
     replay_cmd.set_defaults(func=cmd_replay)
 
     convert = subparsers.add_parser(
-        "convert", help="convert a database between persistence backends"
+        "convert",
+        help="rewrite a database in the format its output suffix names "
+        "(.sqlite/.sqlite3/.db: SQLite, anything else: JSON)",
     )
     convert.add_argument("database")
     convert.add_argument("output")
-    from repro.metadb.persistence import backend_names
-
-    convert.add_argument(
-        "--from-backend", choices=backend_names(), default=None,
-        help="source backend (default: guessed from the path suffix)",
-    )
-    convert.add_argument(
-        "--to-backend", choices=backend_names(), default=None,
-        help="destination backend (default: guessed from the path suffix)",
-    )
     convert.set_defaults(func=cmd_convert)
 
     serve = subparsers.add_parser(
@@ -809,8 +777,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     audit_cmd.set_defaults(func=cmd_audit)
 
-    for database_command in (status, pending, query, find, dashboard, serve):
-        _add_backend_option(database_command)
     # The lazy/window options make the server and the read-side commands
     # O(window) over a large SQLite database (demand faulting).
     for windowed_command in (serve, status, pending, find, query):

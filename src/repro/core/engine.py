@@ -196,39 +196,6 @@ class BlueprintEngine:
         self._running = False
         self._attach_hooks()
 
-    @classmethod
-    def from_saved(
-        cls,
-        path,
-        blueprint: Blueprint,
-        *,
-        backend: str | None = None,
-        lazy: bool = False,
-        blocks: set[str] | None = None,
-        views: set[str] | None = None,
-        **kwargs,
-    ) -> "BlueprintEngine":
-        """An engine over a previously persisted meta-database.
-
-        *path* dispatches on suffix to the JSON or SQLite backend unless
-        *backend* names one; the loaded database arrives fully indexed,
-        so the engine's hot paths (adjacency, stale set) are warm from
-        the first event.
-
-        ``lazy=True`` (SQLite only) serves events against a
-        demand-faulting database: a wave over one subsystem faults in
-        just the shards it touches.  *blocks* / *views* open such a
-        database bounded to a faultable window, so the engine's
-        footprint is O(window) even over a hundred-thousand-object
-        project.
-        """
-        from repro.metadb.persistence import load_database
-
-        db, _registry = load_database(
-            path, backend=backend, lazy=lazy, blocks=blocks, views=views
-        )
-        return cls(db, blueprint, **kwargs)
-
     # ------------------------------------------------------------------
     # hooks / blueprint swapping
     # ------------------------------------------------------------------

@@ -43,6 +43,7 @@ import json
 import threading
 from collections import deque
 from dataclasses import dataclass, field, replace
+from typing import Iterable
 
 from repro.core.blueprint import Blueprint
 from repro.core.events import EventMessage
@@ -110,6 +111,34 @@ class PermissionRule:
         )
 
 
+def _input_oids(inputs: list[OID | str]) -> list[OID]:
+    return [OID.parse(item) if isinstance(item, str) else item for item in inputs]
+
+
+def _check_inputs(
+    db: MetaDatabase, rules: Iterable[PermissionRule], tool: str, oids: list[OID]
+) -> Decision:
+    """Every rule for *tool* (or ``*``) must hold on every view-matching
+    input; each failure, and each input the database does not hold, is
+    one reason, worded with the input's wire form (``block,view,N``)."""
+    rules = [rule for rule in rules if rule.tool in (tool, "*")]
+    reasons: list[str] = []
+    for oid in oids:
+        obj = db.find(oid)
+        if obj is None:
+            reasons.append(f"{oid.wire()} is not in the meta-database")
+            continue
+        for rule in rules:
+            if rule.view is not None and rule.view != oid.view:
+                continue
+            if not truthy(evaluate_on(obj, rule.condition)):
+                reasons.append(
+                    f"{oid.wire()} fails "
+                    f"{rule.description or rule.condition.to_source()}"
+                )
+    return Decision(granted=not reasons, reasons=tuple(reasons))
+
+
 @dataclass
 class PermissionPolicy:
     """The wrapper-side permission check of section 3.3."""
@@ -127,9 +156,6 @@ class PermissionPolicy:
         """Shorthand: ``policy.require("simulator", "$uptodate == true")``."""
         return self.add(PermissionRule.parse(tool, condition, view))
 
-    def rules_for(self, tool: str) -> list[PermissionRule]:
-        return [rule for rule in self.rules if rule.tool in (tool, "*")]
-
     def check(
         self, db: MetaDatabase, tool: str, inputs: list[OID | str]
     ) -> Decision:
@@ -140,21 +166,8 @@ class PermissionPolicy:
         the tracking system has never seen is exactly the mistake the
         check exists to catch.
         """
-        reasons: list[str] = []
-        oids = [OID.parse(o) if isinstance(o, str) else o for o in inputs]
-        for oid in oids:
-            obj = db.find(oid)
-            if obj is None:
-                reasons.append(f"{oid} is not in the meta-database")
-                continue
-            for rule in self.rules_for(tool):
-                if rule.view is not None and rule.view != oid.view:
-                    continue
-                if not truthy(evaluate_on(obj, rule.condition)):
-                    reasons.append(
-                        f"{oid} fails {rule.description or rule.condition.to_source()}"
-                    )
-        decision = Decision(granted=not reasons, reasons=tuple(reasons))
+        oids = _input_oids(inputs)
+        decision = _check_inputs(db, self.rules, tool, oids)
         self.audit.append((tool, tuple(oids), decision.granted))
         return decision
 
@@ -822,27 +835,9 @@ class GovernedPolicy:
             if self.fault_reason is not None:
                 decision = Decision(False, (self.fault_reason,))
             else:
-                reasons: list[str] = []
-                oids = [
-                    OID.parse(item) if isinstance(item, str) else item
-                    for item in inputs
-                ]
-                for oid in oids:
-                    obj = db.find(oid)
-                    if obj is None:
-                        reasons.append(f"{oid.wire()} is not in the meta-database")
-                        continue
-                    for rule in self._tool_rules:
-                        if rule.tool not in (tool, "*"):
-                            continue
-                        if rule.view is not None and rule.view != oid.view:
-                            continue
-                        if not truthy(evaluate_on(obj, rule.condition)):
-                            reasons.append(
-                                f"{oid.wire()} fails "
-                                f"{rule.description or rule.condition.to_source()}"
-                            )
-                decision = Decision(granted=not reasons, reasons=tuple(reasons))
+                decision = _check_inputs(
+                    db, self._tool_rules, tool, _input_oids(inputs)
+                )
         except Exception as exc:
             self.policy_faults += 1
             decision = Decision(

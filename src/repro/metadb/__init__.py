@@ -48,13 +48,9 @@ from repro.metadb.objects import MetaObject
 from repro.metadb.oid import OID
 from repro.metadb.persistence import (
     JsonBackend,
-    PersistenceBackend,
-    backend_for_path,
     database_from_dict,
     database_to_dict,
-    get_backend,
     load_database,
-    register_backend,
     save_database,
 )
 from repro.metadb.properties import PropertyBag, PropertyChange, coerce_value, value_to_text
@@ -120,11 +116,7 @@ __all__ = [
     "database_from_dict",
     "save_database",
     "load_database",
-    "PersistenceBackend",
     "JsonBackend",
-    "get_backend",
-    "register_backend",
-    "backend_for_path",
     "MetaDBError",
     "InvalidOIDError",
     "UnknownOIDError",

@@ -624,16 +624,17 @@ class MetaDatabase:
 
     def stats(self) -> dict[str, int]:
         """Structural counters for reports and sanity checks."""
+        # The resident links (``dict.values`` faults nothing in) plus
+        # the store's SQL side, which counts the rest without loading it.
+        classes = dict(self._indexes.pushdown.link_class_counts())
+        for link in dict.values(self._links):
+            classes[link.link_class] = classes.get(link.link_class, 0) + 1
         return {
             "objects": len(self._objects),
             "links": len(self._links),
             "lineages": len(self._lineages),
-            "use_links": sum(
-                1 for l in self._links.values() if l.link_class is LinkClass.USE
-            ),
-            "derive_links": sum(
-                1 for l in self._links.values() if l.link_class is LinkClass.DERIVE
-            ),
+            "use_links": classes.get(LinkClass.USE, 0),
+            "derive_links": classes.get(LinkClass.DERIVE, 0),
             "stale": len(self._indexes.stale_oids()),
             "clock": self._seq,
         }

@@ -63,8 +63,10 @@ class _NoSqlSide:
     view_oids = block_oids = property_oids = property_values = _nothing
     latest_oids = stale_oids = blocks_of_view = views_of_block = _nothing
 
-    def view_counts(self) -> dict[str, int]:
+    def _no_counts(self) -> dict:
         return {}
+
+    view_counts = link_class_counts = _no_counts
 
 
 def _union(

@@ -1,21 +1,21 @@
-"""Persistence for the meta-database: backend protocol + JSON backend.
+"""Persistence for the meta-database: one way in and out of a project file.
 
 The 1995 DAMOCLES server kept its meta-database in a proprietary store;
-we persist through a small backend protocol so projects can pick the
-store that fits their scale:
+this one keeps it in one of two file formats, and the path suffix alone
+picks which:
 
-* :class:`JsonBackend` — a single documented JSON file; human-diffable,
-  version-controllable test fixtures (the original seed format);
-* :class:`~repro.metadb.sqlite_store.SqliteBackend` — a SQLite database
+* ``.sqlite`` / ``.sqlite3`` / ``.db`` —
+  :class:`~repro.metadb.sqlite_store.SqliteBackend`, a SQLite database
   that also persists the secondary indexes (as SQL indexes over a
   properties table) and opens lazily, optionally over a window of
-  selected blocks/views.
+  selected blocks/views;
+* anything else — :class:`JsonBackend`, a single documented JSON file;
+  human-diffable, version-controllable test fixtures (the original seed
+  format).
 
-``save_database`` / ``load_database`` stay the one-call entry points:
-they dispatch on the path suffix (``.json`` → JSON; ``.sqlite`` /
-``.sqlite3`` / ``.db`` → SQLite) unless an explicit ``backend=`` name is
-given.  The JSON format is versioned; loading an unknown version fails
-loudly rather than guessing.
+``save_database`` / ``load_database`` are the one-call entry points.
+The JSON format is versioned; loading an unknown version fails loudly
+rather than guessing.
 """
 
 from __future__ import annotations
@@ -23,13 +23,14 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Callable, Protocol, runtime_checkable
 
 from repro.metadb.configurations import Configuration, ConfigurationRegistry
 from repro.metadb.database import MetaDatabase
 from repro.metadb.errors import PersistenceError
 from repro.metadb.links import LinkClass
 from repro.metadb.oid import OID
+from repro.metadb.sqlite_store import SqliteBackend
+from repro.metadb.store import DEFAULT_CACHE_LINEAGES
 
 FORMAT_VERSION = 1
 
@@ -155,41 +156,12 @@ def database_from_dict(
 
 
 # ---------------------------------------------------------------------------
-# backend protocol
+# stores
 # ---------------------------------------------------------------------------
-
-
-@runtime_checkable
-class PersistenceBackend(Protocol):
-    """What a meta-database store must provide.
-
-    Backends are stateless: ``save`` writes everything, ``load`` rebuilds
-    a fully indexed in-memory database.  Backends with richer capability
-    (lazy windowed opens, persisted indexes) expose it as extra methods;
-    the protocol is the lowest common denominator the CLI and workspace
-    rely on.
-    """
-
-    name: str
-    suffixes: tuple[str, ...]
-
-    def save(
-        self,
-        db: MetaDatabase,
-        path: Path | str,
-        registry: ConfigurationRegistry | None = None,
-    ) -> Path: ...
-
-    def load(
-        self, path: Path | str
-    ) -> tuple[MetaDatabase, ConfigurationRegistry]: ...
 
 
 class JsonBackend:
     """The single-JSON-file store (the original seed format)."""
-
-    name = "json"
-    suffixes = (".json",)
 
     def save(
         self,
@@ -222,48 +194,12 @@ class JsonBackend:
         return database_from_dict(data)
 
 
-def _sqlite_backend() -> PersistenceBackend:
-    from repro.metadb.sqlite_store import SqliteBackend
-
-    return SqliteBackend()
+#: Path suffixes that name a SQLite file; anything else is JSON.
+SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
 
 
-_BACKEND_FACTORIES: dict[str, Callable[[], PersistenceBackend]] = {
-    "json": JsonBackend,
-    "sqlite": _sqlite_backend,
-}
-
-
-def register_backend(name: str, factory: Callable[[], PersistenceBackend]) -> None:
-    """Register a custom backend under *name* (overrides allowed)."""
-    _BACKEND_FACTORIES[name] = factory
-
-
-def backend_names() -> list[str]:
-    return sorted(_BACKEND_FACTORIES)
-
-
-def get_backend(name: str) -> PersistenceBackend:
-    """Instantiate the backend registered under *name*."""
-    try:
-        factory = _BACKEND_FACTORIES[name]
-    except KeyError:
-        raise PersistenceError(
-            f"unknown persistence backend {name!r} "
-            f"(available: {', '.join(backend_names())})"
-        ) from None
-    return factory()
-
-
-def backend_for_path(path: Path | str) -> PersistenceBackend:
-    """Pick a backend by matching the path suffix against each registered
-    backend's declared ``suffixes`` (default: JSON)."""
-    suffix = Path(path).suffix.lower()
-    for factory in _BACKEND_FACTORIES.values():
-        backend = factory()
-        if suffix in getattr(backend, "suffixes", ()):
-            return backend
-    return get_backend("json")
+def _is_sqlite(path: Path | str) -> bool:
+    return Path(path).suffix.lower() in SQLITE_SUFFIXES
 
 
 # ---------------------------------------------------------------------------
@@ -275,48 +211,42 @@ def save_database(
     db: MetaDatabase,
     path: Path | str,
     registry: ConfigurationRegistry | None = None,
-    *,
-    backend: str | None = None,
 ) -> Path:
-    """Write *db* to *path*; returns the path written.
-
-    The store format follows the path suffix unless *backend* names one
-    explicitly.
-    """
-    chosen = get_backend(backend) if backend else backend_for_path(path)
-    return chosen.save(db, path, registry)
+    """Write *db* to *path* in the store its suffix names; returns the
+    path written."""
+    store = SqliteBackend() if _is_sqlite(path) else JsonBackend()
+    return store.save(db, path, registry)
 
 
 def load_database(
     path: Path | str,
     *,
-    backend: str | None = None,
     lazy: bool = False,
     blocks: set[str] | None = None,
     views: set[str] | None = None,
-    cache_lineages: int | None = None,
+    cache_lineages: int = DEFAULT_CACHE_LINEAGES,
 ) -> tuple[MetaDatabase, ConfigurationRegistry]:
     """Load a database previously written by :func:`save_database`.
 
     ``lazy=True`` opens a demand-faulting database over the SQLite
-    backend (objects page in on first touch, O(window) footprint)
+    store (objects page in on first touch, O(window) footprint)
     instead of materialising everything.  A *blocks* / *views* window
     always opens that way: only the window faults in, links need both
     endpoints inside it, configurations are intersected with it, and a
     save back to the same file writes only the changes, leaving every
-    row outside the window as it was.  Lazy opens require a backend with
-    ``open_lazy`` — the SQLite store — and fail loudly otherwise.
+    row outside the window as it was.  Lazy opens need a SQLite path
+    and fail loudly otherwise.
     """
-    chosen = get_backend(backend) if backend else backend_for_path(path)
-    if not lazy and blocks is None and views is None:
-        return chosen.load(path)
-    opener = getattr(chosen, "open_lazy", None)
-    if opener is None:
-        raise PersistenceError(
-            f"backend {chosen.name!r} cannot open lazily "
-            "(demand faulting and block/view windows need the sqlite backend)"
-        )
-    kwargs: dict = {"blocks": blocks, "views": views}
-    if cache_lineages is not None:
-        kwargs["cache_lineages"] = cache_lineages
-    return opener(path, **kwargs)
+    eager = not lazy and blocks is None and views is None
+    if not _is_sqlite(path):
+        if not eager:
+            raise PersistenceError(
+                f"{path} cannot open lazily (demand faulting and block/view "
+                f"windows need a SQLite file: {', '.join(SQLITE_SUFFIXES)})"
+            )
+        return JsonBackend().load(path)
+    if eager:
+        return SqliteBackend().load(path)
+    return SqliteBackend().open_lazy(
+        path, blocks=blocks, views=views, cache_lineages=cache_lineages
+    )

@@ -354,9 +354,6 @@ def _set_anchor(db: MetaDatabase, anchor: _Anchor) -> None:
 class SqliteBackend:
     """The SQLite store (see module docstring)."""
 
-    name = "sqlite"
-    suffixes = (".sqlite", ".sqlite3", ".db")
-
     # ------------------------------------------------------------------
     # save
     # ------------------------------------------------------------------

@@ -385,12 +385,14 @@ class LazySqliteStore:
         self._resident: dict[tuple[str, str], None] = {}  # insertion = LRU order
         self.changes = ChangeSet(track_shards=True)
         self._adj_resident: set[OID] = set()
-        self._disk_link_ids_loaded: set[int] = set()
+        #: Disk link rows now resident (or removed since), with the class
+        #: their row holds: the part of the disk counts memory answers.
+        self._disk_link_ids_loaded: dict[int, LinkClass] = {}
         self._all_objects = False
         self._all_links = False
         # Disk-side sizes, cached until the next write-back changes them.
         self._disk_sizes: dict[tuple[str, str], int] | None = None
-        self._disk_links: int | None = None
+        self._disk_link_classes: dict[LinkClass, int] | None = None
         #: A window's configurations as read at open: the only ones its
         #: flush accepts (set by ``SqliteBackend.open_lazy``).
         self.window_configurations: list[tuple] = []
@@ -595,7 +597,7 @@ class LazySqliteStore:
             return None
         link = self._build_link(row)
         dict.__setitem__(self._links, link_id, link)
-        self._disk_link_ids_loaded.add(link_id)
+        self._disk_link_ids_loaded[link_id] = link.link_class
         return link
 
     @_locked
@@ -727,7 +729,7 @@ class LazySqliteStore:
                 continue
             if dict.__contains__(self._links, link_id):
                 dict.__delitem__(self._links, link_id)
-                self._disk_link_ids_loaded.discard(link_id)
+                self._disk_link_ids_loaded.pop(link_id, None)
                 self._all_links = False  # the next full scan refaults it
 
     # ------------------------------------------------------------------
@@ -765,16 +767,34 @@ class LazySqliteStore:
         return count
 
     @_locked
-    def _link_count(self) -> int:
-        if self._disk_links is None:
+    def _disk_link_class_counts(self) -> dict[LinkClass, int]:
+        if self._disk_link_classes is None:
             clause, params = self._link_window()
             where = f" WHERE {clause}" if clause else ""
-            (self._disk_links,) = self._require_open().execute(
-                f"SELECT COUNT(*) FROM links{where}", params
-            ).fetchone()
-        return dict.__len__(self._links) + self._disk_links - len(
-            self._disk_link_ids_loaded
+            self._disk_link_classes = {
+                LinkClass(link_class): count
+                for link_class, count in self._require_open().execute(
+                    f"SELECT class, COUNT(*) FROM links{where} GROUP BY class",
+                    params,
+                )
+            }
+        return self._disk_link_classes
+
+    @_locked
+    def _link_count(self) -> int:
+        return (
+            dict.__len__(self._links)
+            + sum(self._disk_link_class_counts().values())
+            - len(self._disk_link_ids_loaded)
         )
+
+    @_locked
+    def link_class_counts(self) -> dict[LinkClass, int]:
+        """Window links on disk and not resident, per class."""
+        counts = dict(self._disk_link_class_counts())
+        for link_class in self._disk_link_ids_loaded.values():
+            counts[link_class] -= 1
+        return counts
 
     # ------------------------------------------------------------------
     # pushdown lookups (IndexRegistry's non-resident half)
@@ -997,13 +1017,14 @@ class LazySqliteStore:
                 )
             configurations = None
         write_back(connection, self.db, self.changes, configurations)
-        self._disk_sizes = self._disk_links = None
+        self._disk_sizes = self._disk_link_classes = None
         # The disk now mirrors every changed link; account it as loaded.
         for link_id in self.changes.links:
-            if dict.__contains__(self._links, link_id):
-                self._disk_link_ids_loaded.add(link_id)
+            link = dict.get(self._links, link_id)
+            if link is not None:
+                self._disk_link_ids_loaded[link_id] = link.link_class
             else:
-                self._disk_link_ids_loaded.discard(link_id)
+                self._disk_link_ids_loaded.pop(link_id, None)
         self.changes.clear()
 
     @_locked

@@ -46,45 +46,6 @@ class Workspace:
         self.root = Path(self.root)
         self.root.mkdir(parents=True, exist_ok=True)
 
-    # -- persistence -----------------------------------------------------------
-
-    @classmethod
-    def open(
-        cls,
-        root: Path | str,
-        db_path: Path | str,
-        *,
-        backend: str | None = None,
-        name: str = "workspace",
-        lazy: bool = False,
-        blocks: set[str] | None = None,
-        views: set[str] | None = None,
-    ) -> "Workspace":
-        """A workspace over a previously saved meta-database.
-
-        The persistence backend is guessed from *db_path*'s suffix
-        (``.json`` vs ``.sqlite``) unless *backend* names one explicitly.
-        ``lazy=True`` (SQLite only) opens a demand-faulting database —
-        objects page in on first touch.  *blocks* / *views* open such a
-        database restricted to a shard window, so a workspace over one
-        subsystem of a large project never materialises the rest of the
-        chip, and saving it back leaves the rest of the file as it was.
-        """
-        from repro.metadb.persistence import load_database
-
-        db, _registry = load_database(
-            db_path, backend=backend, lazy=lazy, blocks=blocks, views=views
-        )
-        return cls(root=Path(root), db=db, name=name)
-
-    def save_db(
-        self, db_path: Path | str, registry=None, *, backend: str | None = None
-    ) -> Path:
-        """Persist this workspace's meta-database (suffix-dispatched)."""
-        from repro.metadb.persistence import save_database
-
-        return save_database(self.db, db_path, registry, backend=backend)
-
     # -- paths ----------------------------------------------------------------
 
     def path_of(self, oid: OID) -> Path:

@@ -118,7 +118,7 @@ class _DurabilityGate:
 
     def submit(self, seq: int, response: str, send: Callable[[str], None]) -> None:
         wal = self._bus.wal
-        if not seq or wal.durable_seq >= seq or wal.broken or not wal.fsync:
+        if not seq or wal.durable_seq >= seq or wal.broken:
             # Nothing journaled, already covered by an earlier barrier,
             # or the journal is past helping: ensure_durable settles
             # instantly.

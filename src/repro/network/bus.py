@@ -4,9 +4,7 @@ projects.
 The bus speaks the same line dialect as the TCP server, so a wrapper
 written against the bus works unchanged against the network — the
 "generic interface which facilitates the tool integration" of the
-conclusion.  ``process_after_post`` controls whether each accepted event
-is processed immediately (synchronous projects, the default) or left in
-the queue for an explicit :meth:`drain` (batching, benchmarks).
+conclusion.  Each accepted event is processed before the post returns.
 
 Beyond posting, the bus is the server's command back end:
 
@@ -96,6 +94,9 @@ from repro.testing.faults import crash_point
 #: Subscriber signature: receives one formatted notification line.
 Subscriber = Callable[[str], None]
 
+#: Retry hint, in seconds, carried in a busy rejection.
+RETRY_AFTER_S = 0.1
+
 #: Prefix of a policy refusal: a deny, or a lifecycle command that lost
 #: its race.  Nothing was applied, so a failed barrier does not change it.
 _POLICY_ERR = err_response("policy:")
@@ -106,7 +107,6 @@ class EventBus:
     """Line-protocol front end over one :class:`BlueprintEngine`."""
 
     engine: BlueprintEngine
-    process_after_post: bool = True
     lines_seen: int = 0
     stats: dict[str, int] = field(default_factory=dict)
     #: Write-ahead journal: every admitted write is appended here, and
@@ -116,8 +116,6 @@ class EventBus:
     #: Reject posts with ``ERR busy`` once the engine queue holds this
     #: many events (None = unbounded; the pre-crash-safety behaviour).
     busy_limit: int | None = None
-    #: Retry hint carried in the busy rejection.
-    retry_after: float = 0.1
     #: Run ``checkpointer`` after this many journaled events so the
     #: journal stays bounded (None = only explicit checkpoints).
     checkpoint_every: int | None = None
@@ -185,14 +183,12 @@ class EventBus:
         user: str = "",
     ) -> EventMessage:
         event = self.engine.post(name, target, direction, arg, user)
-        if self.process_after_post:
-            self.engine.run()
+        self.engine.run()
         return event
 
     def post_message(self, event: EventMessage) -> EventMessage:
         stamped = self.engine.post_message(event)
-        if self.process_after_post:
-            self.engine.run()
+        self.engine.run()
         return stamped
 
     def drain(self) -> int:
@@ -348,7 +344,7 @@ class EventBus:
     def reject_busy(self, detail: str) -> str:
         """Count and format one backpressure rejection (server + bus)."""
         self._count("busy_rejections")
-        return busy_response(self.retry_after, detail)
+        return busy_response(RETRY_AFTER_S, detail)
 
     @staticmethod
     def _events(command: Command) -> tuple[EventMessage, ...]:
@@ -608,8 +604,7 @@ class EventBus:
         stamped = [self.engine.post_message(event) for event in events]
         self._count("batches")
         try:
-            if self.process_after_post:
-                self.engine.run()
+            self.engine.run()
         except (EngineError, MetaDBError) as exc:
             self._count("engine_errors")
             # Withdraw the unprocessed remainder: an ERR response

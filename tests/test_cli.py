@@ -163,6 +163,33 @@ class TestReplayCommand:
         assert rebuilt.get(OID("core", "v1", 1)).get("uptodate") is False
 
 
+class TestConvert:
+    """``damocles convert``: the output suffix alone picks the format."""
+
+    def test_json_to_sqlite_to_json_keeps_state(self, database_file, tmp_path, capsys):
+        from repro.core.journal import state_fingerprint
+
+        json_path, _bp = database_file
+        original = state_fingerprint(load_database(json_path)[0])
+        sqlite_path = str(tmp_path / "converted.db")
+        back_path = str(tmp_path / "back.json")
+        assert main(["convert", json_path, sqlite_path]) == 0
+        with open(sqlite_path, "rb") as handle:
+            assert handle.read(16) == b"SQLite format 3\0"
+        assert state_fingerprint(load_database(sqlite_path)[0]) == original
+        assert main(["convert", sqlite_path, back_path]) == 0
+        assert state_fingerprint(load_database(back_path)[0]) == original
+        assert "converted" in capsys.readouterr().out
+
+    def test_unknown_suffix_writes_json(self, database_file, tmp_path):
+        import json
+
+        json_path, _bp = database_file
+        out_path = tmp_path / "project.meta"
+        assert main(["convert", json_path, str(out_path)]) == 0
+        assert json.loads(out_path.read_text())["name"] == "cli"
+
+
 class TestServe:
     def _free_port(self):
         import socket
@@ -406,6 +433,39 @@ class TestLazyAndExplain:
         ) == 0
         reloaded, _ = load_database(db_path)
         assert reloaded.get(OID("core", "v0", 1)).get("uptodate") is True
+
+    def test_serve_lazy_journal_recovers_after_restart(
+        self, sqlite_database, tmp_path, capsys
+    ):
+        """A lazy journaled server checkpoints through the same save as an
+        eager one; a restart replays what the last checkpoint missed."""
+        db_path, bp_path = sqlite_database
+        journal = str(tmp_path / "journal")
+        argv = [db_path, bp_path, "--port", "0", "--lazy", "--journal", journal,
+                "--checkpoint-every", "2", "--serve-seconds", "5"]
+
+        def first(client):
+            client.post_event("outofdate", OID("core", "v0", 1), direction="down")
+            client.post_event("outofdate", OID("mem", "v0", 1), direction="down")
+            client.post_event("ckin", OID("alu", "v1", 1), direction="up")
+
+        # --no-save: the third post stays in the journal only.
+        assert self._serve([*argv, "--no-save"], capsys, first) == 0
+        checkpointed, _ = load_database(db_path)
+        assert checkpointed.wal_seq == 2
+        assert checkpointed.get(OID("core", "v2", 1)).get("uptodate") is False
+        assert checkpointed.get(OID("mem", "v1", 1)).get("uptodate") is False
+        assert checkpointed.get(OID("alu", "v1", 1)).get("uptodate") is False
+
+        def second(client):
+            assert OID("alu", "v1", 1) not in client.stale()
+
+        assert self._serve(argv, capsys, second) == 0
+        recovered, _ = load_database(db_path)
+        assert recovered.wal_seq == 3
+        assert recovered.get(OID("alu", "v1", 1)).get("uptodate") is True
+        assert recovered.get(OID("core", "v2", 1)).get("uptodate") is False
+        assert recovered.get(OID("mem", "v1", 1)).get("uptodate") is False
 
     def test_serve_window_saves_back_without_loss(self, sqlite_database, capsys):
         """Serving a --blocks window saves the change posted inside it
