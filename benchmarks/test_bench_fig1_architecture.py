@@ -71,7 +71,7 @@ def test_fig1_fifo_order_preserved_under_load(benchmark):
         for index in range(500):
             engine.post("tick", oids[0], "up", arg=str(index))
         engine.run()
-        return [e.name for e in engine.queue.history[-500:]]
+        return [e.name for e in list(engine.queue.history)[-500:]]
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     # after processing, the single object saw the LAST posted arg

@@ -24,6 +24,13 @@ Design decisions documented in DESIGN.md:
   nearest linked OIDs of that view (fallback: the latest version of the
   same block in that view).
 * Exec failures are recorded, never allowed to abort the wave.
+
+The engine keeps a trace of what it did: :attr:`BlueprintEngine.trace`
+is a ring (``deque(maxlen=trace_limit)``) of :class:`TraceRecord`
+tuples holding raw fields -- seq, kind, target, event and the detail's
+inputs as data.  Nothing is formatted on the wave's path; the detail
+text, ``str(record)`` and :meth:`BlueprintEngine.trace_text` are built
+when read.  ``trace_limit=0`` records nothing.
 """
 
 from __future__ import annotations
@@ -31,7 +38,9 @@ from __future__ import annotations
 import shlex
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import partial
+from itertools import count
+from typing import Callable, NamedTuple
 
 from repro.core.blueprint import Blueprint
 from repro.core.events import EventMessage, EventQueue
@@ -103,19 +112,52 @@ class EngineMetrics:
         return data
 
 
-@dataclass
-class TraceRecord:
-    """One trace line: what the engine did and where."""
+def _post_detail(data: tuple[Direction, str | None, bool]) -> str:
+    direction, to_view, found = data
+    if to_view is None:
+        return f"{direction} (fan-out)"
+    return f"to view {to_view}" if found else f"to {to_view}: no target found"
+
+
+#: How each record kind turns its data into the detail text; a kind not
+#: listed carries its detail as text already.
+_DETAIL_TEXT: dict[str, Callable[[object], str]] = {
+    "propagate": lambda data: f"via link {data[0]} from {data[1].dotted()}",
+    "assign": lambda data: f"{data[0]} = {data[1]!r}",
+    "let": lambda data: f"{data[0]} = {data[1]!r}",
+    "post": _post_detail,
+    "exec": lambda request: request.command_line(),
+}
+
+
+class TraceRecord(NamedTuple):
+    """One trace line: what the engine did and where.
+
+    The engine stores the detail's inputs (*data*), not its text: a
+    ``propagate`` record keeps ``(link id, source OID)``, ``assign`` and
+    ``let`` keep ``(name, value)``, ``post`` keeps ``(direction, to-view,
+    found)`` and ``exec`` its :class:`ExecRequest`; the other kinds keep
+    their text.  :attr:`detail` and ``str`` format them when read.
+    """
 
     seq: int
     kind: str  # deliver / assign / let / exec / notify / post / propagate / skip
     oid: OID | None
     event: str
-    detail: str = ""
+    data: object = ""
+
+    @property
+    def detail(self) -> str:
+        format_detail = _DETAIL_TEXT.get(self.kind)
+        return self.data if format_detail is None else format_detail(self.data)
 
     def __str__(self) -> str:
         where = self.oid.dotted() if self.oid is not None else "-"
         return f"[{self.seq:>5}] {self.kind:<9} {where:<28} {self.event:<12} {self.detail}"
+
+
+#: Builds a record without the generated ``__new__``'s Python frame.
+_new_record = partial(tuple.__new__, TraceRecord)
 
 
 class EvalEnvironment:
@@ -188,11 +230,11 @@ class BlueprintEngine:
         self.strict = strict
         self.auto_link = auto_link
         self.max_wave_deliveries = max_wave_deliveries
-        self.trace: list[TraceRecord] = []
-        self.trace_limit = trace_limit
+        #: The newest *trace_limit* records (none when it is 0 or less).
+        self.trace: deque[TraceRecord] = deque(maxlen=max(trace_limit, 0))
         self.notifications: list[str] = []
         self.exec_log: list[ExecRequest] = []
-        self._trace_seq = 0
+        self._trace_seq = count(1)
         self._running = False
         self._attach_hooks()
 
@@ -340,7 +382,7 @@ class BlueprintEngine:
                     "propagate",
                     other,
                     delivery.event.name,
-                    f"via link {link.link_id} from {delivery.target.dotted()}",
+                    (link.link_id, delivery.target),
                 )
                 pending.append(
                     _Delivery(
@@ -380,16 +422,14 @@ class BlueprintEngine:
             value = action.value.evaluate(env)
             obj.set(action.name, value)
             self.metrics.assigns += 1
-            self._record(
-                "assign", target, event.name, f"{action.name} = {value!r}"
-            )
+            self._record("assign", target, event.name, (action.name, value))
 
         # step 2: re-evaluate all continuous assignments of the OID
         for let_name, expr in obj.continuous.items():
             value = expr.evaluate(env)
             obj.set(let_name, value)
             self.metrics.lets_evaluated += 1
-            self._record("let", target, event.name, f"{let_name} = {value!r}")
+            self._record("let", target, event.name, (let_name, value))
 
         # step 3: invoke scripts (exec and notify are both script-phase)
         for action in dispatch.scripts:
@@ -424,7 +464,7 @@ class BlueprintEngine:
         )
         self.exec_log.append(request)
         self.metrics.execs += 1
-        self._record("exec", obj.oid, event.name, request.command_line())
+        self._record("exec", obj.oid, event.name, request)
         try:
             self.executor(request)
         except Exception as exc:  # a failing tool must not kill the wave
@@ -453,18 +493,18 @@ class BlueprintEngine:
         if action.to_view is None:
             # "directly propagated from the current OID": the origin does
             # not re-process the event, it only fans it out
-            self._record("post", obj.oid, action.event, f"{action.direction} (fan-out)")
+            self._record("post", obj.oid, action.event, (action.direction, None, True))
             return [_Delivery(target=obj.oid, event=new_event, process=False)]
         targets = self._resolve_post_targets(obj.oid, action)
         if not targets:
             self._record(
-                "post", obj.oid, action.event, f"to {action.to_view}: no target found"
+                "post", obj.oid, action.event, (action.direction, action.to_view, False)
             )
             return []
         deliveries = []
         for target in targets:
             self._record(
-                "post", target, action.event, f"to view {action.to_view}"
+                "post", target, action.event, (action.direction, action.to_view, True)
             )
             deliveries.append(
                 _Delivery(
@@ -509,14 +549,18 @@ class BlueprintEngine:
     # tracing
     # ------------------------------------------------------------------
 
-    def _record(self, kind: str, oid: OID | None, event: str, detail: str) -> None:
-        if self.trace_limit <= 0:
-            return
-        self._trace_seq += 1
-        self.trace.append(TraceRecord(self._trace_seq, kind, oid, event, detail))
-        if len(self.trace) > self.trace_limit:
-            del self.trace[: len(self.trace) - self.trace_limit]
+    @property
+    def trace_limit(self) -> int:
+        return self.trace.maxlen or 0
+
+    def _record(self, kind: str, oid: OID | None, event: str, data: object) -> None:
+        """Append one record; its detail text is built only when read."""
+        trace = self.trace
+        if trace.maxlen:
+            trace.append(_new_record((next(self._trace_seq), kind, oid, event, data)))
 
     def trace_text(self, last: int | None = None) -> str:
-        records = self.trace if last is None else self.trace[-last:]
+        records = list(self.trace)
+        if last is not None:
+            records = records[-last:]
         return "\n".join(str(record) for record in records)

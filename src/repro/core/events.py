@@ -14,7 +14,7 @@ fields of the ``postEvent`` wire command::
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.metadb.links import Direction
 from repro.metadb.oid import OID
@@ -52,15 +52,21 @@ class EventMessage:
     seq: int = 0
 
     def __post_init__(self) -> None:
-        if not self.name or any(ch.isspace() for ch in self.name):
+        # Non-empty and free of str.isspace characters, tested in C: a
+        # whitespace split leaves such a name as its only word.
+        if not isinstance(self.name, str) or self.name.split() != [self.name]:
             raise ValueError(f"bad event name: {self.name!r}")
 
     def with_seq(self, seq: int) -> "EventMessage":
-        return replace(self, seq=seq)
+        return EventMessage(
+            self.name, self.direction, self.target, self.arg, self.user, seq
+        )
 
     def retargeted(self, target: OID) -> "EventMessage":
         """The same event aimed at a different OID (used by post-to rules)."""
-        return replace(self, target=target)
+        return EventMessage(
+            self.name, self.direction, target, self.arg, self.user, self.seq
+        )
 
     def __str__(self) -> str:
         arg = f" {self.arg!r}" if self.arg else ""
@@ -83,8 +89,12 @@ class EventQueue:
     _pending: deque[EventMessage] = field(default_factory=deque)
     _next_seq: int = 1
     history_limit: int = 4096
-    history: list[EventMessage] = field(default_factory=list)
+    #: The newest *history_limit* stamped events.
+    history: deque[EventMessage] = field(init=False)
     closed: bool = False
+
+    def __post_init__(self) -> None:
+        self.history = deque(maxlen=self.history_limit)
 
     def post(self, event: EventMessage) -> EventMessage:
         """Enqueue *event*; returns the stamped copy."""
@@ -94,8 +104,6 @@ class EventQueue:
         self._next_seq += 1
         self._pending.append(stamped)
         self.history.append(stamped)
-        if len(self.history) > self.history_limit:
-            del self.history[: len(self.history) - self.history_limit]
         return stamped
 
     def pop(self) -> EventMessage:

@@ -20,6 +20,12 @@ from repro.metadb.errors import InvalidOIDError
 #: Dots are excluded so the dotted display form stays unambiguous.
 _NAME_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_\-]*$")
 
+#: The wire form with both names valid and an ASCII version, matched and
+#: validated in one pass; every other spelling takes the general parser.
+_WIRE_RE = re.compile(
+    r"([A-Za-z0-9_][A-Za-z0-9_\-]*),([A-Za-z0-9_][A-Za-z0-9_\-]*),([0-9]+)"
+)
+
 
 @dataclass(frozen=True, order=True)
 class OID:
@@ -105,6 +111,19 @@ class OID:
         """
         if not isinstance(text, str):
             raise InvalidOIDError(f"OID must be a string: {text!r}")
+        wire = _WIRE_RE.fullmatch(text)
+        if wire is not None:
+            block, view, version_text = wire.groups()
+            version = int(version_text)
+            if version >= 1:
+                # The match has validated every field __post_init__ checks.
+                # (Fields set one by one, as __init__ sets them, stay in
+                # the instance's compact inline storage.)
+                oid = object.__new__(cls)
+                object.__setattr__(oid, "block", block)
+                object.__setattr__(oid, "view", view)
+                object.__setattr__(oid, "version", version)
+                return oid
         body = text.strip()
         if body.startswith("<") and body.endswith(">"):
             body = body[1:-1].strip()

@@ -46,6 +46,13 @@ so retrying it is always safe (:func:`parse_busy` extracts the hint).
 
 All messages are UTF-8 lines terminated by ``\\n``.
 
+Lines are split into words by :func:`split_words`, which gives exactly
+what :func:`shlex.split` gives: the quoting :func:`format_command` and
+the response formatters emit is read by one compiled regex, and any
+other line (another shell escape, an unclosed quote) is handed to
+:func:`shlex.split` itself, so its words and its error texts are
+shlex's.  ``shlex`` is otherwise used only to quote.
+
 Each command is described once, in :data:`COMMANDS`: its line spelling,
 its argument codec, its lock class, whether a client may resend it after
 a transport failure, and how a client parses its ``OK`` body.  The line
@@ -92,6 +99,49 @@ NOTIFY_FRESH = "FRESH"
 #: drops slow subscribers; it coalesces instead.)
 OVERLOAD_LINE = "ERR overloaded"
 
+#: One token of a wire line, for :func:`split_words`: a run of shlex
+#: whitespace, a ``'…'`` segment, a ``"…"`` segment whose only escapes
+#: are ``\"`` and ``\\``, a bare run, or any other single character
+#: (a backslash outside quotes, an unclosed quote), which sends the line
+#: to :func:`shlex.split`.  The last alternative matches anywhere, so the
+#: tokens cover the line end to end.
+_WIRE_TOKEN_RE = re.compile(
+    r"""([ \t\r\n]+)|'([^']*)'|"((?:[^"\\]|\\["\\])*)"|([^ \t\r\n'"\\]+)|(.)""",
+    re.DOTALL,
+)
+_DOUBLE_QUOTE_ESCAPE_RE = re.compile(r'\\(["\\])')
+
+
+def split_words(line: str) -> list[str]:
+    """Split *line* into words exactly as :func:`shlex.split` does.
+
+    The quoting :func:`format_command` emits (bare words, single quotes
+    with the ``'"'"'`` escape, double quotes escaping only ``"`` and
+    ``\\``) is read with one compiled regex; a line that uses any other
+    shell escape falls back to :func:`shlex.split`, so the words, and
+    the ``ValueError`` of a malformed line, are always shlex's.
+    """
+    words: list[str] = []
+    word: str | None = None
+    for space, single, double, bare, other in _WIRE_TOKEN_RE.findall(line):
+        if space:
+            if word is not None:
+                words.append(word)
+                word = None
+            continue
+        if other:
+            return shlex.split(line)
+        if double and "\\" in double:
+            double = _DOUBLE_QUOTE_ESCAPE_RE.sub(r"\1", double)
+        # An empty quoted segment leaves every group empty: it still
+        # makes a word, the empty one.
+        piece = bare or single or double
+        word = piece if word is None else word + piece
+    if word is not None:
+        words.append(word)
+    return words
+
+
 def _flatten(text: str) -> str:
     """Degrade newlines to spaces: line framing cannot carry them, and
     a raw newline inside a quoted field would desynchronise a persistent
@@ -128,7 +178,7 @@ def parse_post_event(line: str) -> EventMessage:
     server relays it verbatim in the ``ERR`` response.
     """
     try:
-        parts = shlex.split(line)
+        parts = split_words(line)
     except ValueError as exc:
         raise ProtocolError(f"bad quoting: {exc}") from exc
     if not parts or parts[0] != POST_EVENT:
@@ -174,7 +224,7 @@ def format_batch(events: list[EventMessage]) -> str:
 def parse_batch(line: str) -> tuple[EventMessage, ...]:
     """Parse a ``batch`` line into its member events."""
     try:
-        parts = shlex.split(line)
+        parts = split_words(line)
     except ValueError as exc:
         raise ProtocolError(f"bad quoting: {exc}") from exc
     if not parts or parts[0] != BATCH:
@@ -243,7 +293,8 @@ def format_query_response(properties: dict[str, object]) -> str:
 
     Values containing whitespace (the paper's ``"logic sim passed"``)
     survive the wire: clients re-parse with :func:`parse_query_response`
-    (``shlex.split`` under the hood) instead of naive whitespace splits.
+    (:func:`split_words` under the hood) instead of naive whitespace
+    splits.
     """
     from repro.metadb.properties import value_to_text
 
@@ -257,7 +308,7 @@ def format_query_response(properties: dict[str, object]) -> str:
 def parse_query_response(body: str) -> dict[str, str]:
     """Parse the body of a ``query`` response back into text properties."""
     try:
-        chunks = shlex.split(body)
+        chunks = split_words(body)
     except ValueError as exc:
         raise ProtocolError(f"bad quoting in query response: {exc}") from exc
     properties: dict[str, str] = {}
@@ -294,7 +345,7 @@ def format_pending_response(items: list[tuple[OID, tuple[str, ...]]]) -> str:
 
 def parse_pending_response(body: str) -> dict[OID, tuple[str, ...]]:
     try:
-        chunks = shlex.split(body)
+        chunks = split_words(body)
     except ValueError as exc:
         raise ProtocolError(f"bad quoting in pending response: {exc}") from exc
     pending: dict[OID, tuple[str, ...]] = {}
@@ -356,7 +407,7 @@ def format_audit_response(records: list[dict]) -> str:
 def parse_audit_response(body: str) -> list[dict]:
     """Parse an ``audit`` response body back into record payloads."""
     try:
-        chunks = shlex.split(body)
+        chunks = split_words(body)
     except ValueError as exc:
         raise ProtocolError(f"bad quoting in audit response: {exc}") from exc
     records: list[dict] = []
@@ -533,7 +584,7 @@ def parse_command(line: str) -> Command:
     if head == POLICY:
         # Two-word spellings; arguments are shlex-quoted tokens.
         try:
-            parts = shlex.split(stripped)
+            parts = split_words(stripped)
         except ValueError as exc:
             raise ProtocolError(f"bad quoting: {exc}") from exc
         spec = _BY_LINE.get(" ".join(parts[:2]))

@@ -1,6 +1,7 @@
 """Event messages and the FIFO queue."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.events import EventMessage, EventQueue, QueueClosedError
 from repro.metadb.links import Direction
@@ -33,12 +34,37 @@ class TestEventMessage:
         with pytest.raises(ValueError):
             make_event(name="two words")
 
+    @given(st.text(max_size=6))
+    def test_name_check_is_the_isspace_rule(self, name):
+        """A name is valid when non-empty and free of str.isspace
+        characters (form feed, no-break space and the like included)."""
+        valid = bool(name) and not any(ch.isspace() for ch in name)
+        try:
+            make_event(name=name)
+        except ValueError:
+            assert not valid
+        else:
+            assert valid
+
+    @pytest.mark.parametrize("name", [None, 5, ["ckin"]])
+    def test_non_text_names_rejected(self, name):
+        with pytest.raises(ValueError, match="bad event name"):
+            make_event(name=name)
+
     def test_retargeted_keeps_payload(self):
-        event = make_event()
+        event = make_event(user="yves").with_seq(7)
         moved = event.retargeted(OID("cpu", "verilog", 1))
-        assert moved.target == OID("cpu", "verilog", 1)
-        assert moved.name == event.name
-        assert moved.arg == event.arg
+        assert moved == EventMessage(
+            "ckin", Direction.UP, OID("cpu", "verilog", 1), "logic sim passed", "yves", 7
+        )
+        assert event.target == OID("reg", "verilog", 4)
+
+    def test_with_seq_keeps_payload(self):
+        event = make_event(user="yves")
+        assert event.with_seq(3) == EventMessage(
+            "ckin", Direction.UP, OID("reg", "verilog", 4), "logic sim passed", "yves", 3
+        )
+        assert event.seq == 0
 
     def test_str_shows_wire_shape(self):
         text = str(make_event())

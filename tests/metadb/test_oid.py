@@ -108,6 +108,52 @@ class TestParsing:
         with pytest.raises(InvalidOIDError):
             OID.parse(bad)
 
+    #: Spellings on both sides of the one-pass wire match, with what
+    #: ``OID.parse`` gave for each before it had that match.
+    SPELLINGS = [
+        ("a,b,1", ("a", "b", 1)),
+        ("cpu,netlist,12", ("cpu", "netlist", 12)),
+        ("_a,b-,7", ("_a", "b-", 7)),
+        ("a,b,01", ("a", "b", 1)),
+        ("a,b,+1", ("a", "b", 1)),
+        ("a,b,1_0", ("a", "b", 10)),
+        ("a,b,\uff11", ("a", "b", 1)),
+        (" a,b,1", ("a", "b", 1)),
+        ("a,b,1\n", ("a", "b", 1)),
+        ("a, b ,1", ("a", "b", 1)),
+        ("<a,b,1>", ("a", "b", 1)),
+        ("<a.b.1>", ("a", "b", 1)),
+        ("a,b,0", "version must be >= 1 (paper numbers versions from 1): 0"),
+        ("a,b,00", "version must be >= 1 (paper numbers versions from 1): 0"),
+        ("a,b,-1", "version must be >= 1 (paper numbers versions from 1): -1"),
+        ("a,b,1.0", "bad version number '1.0' in 'a,b,1.0'"),
+        ("a,b,1e3", "bad version number '1e3' in 'a,b,1e3'"),
+        ("a,b,", "bad version number '' in 'a,b,'"),
+        ("-a,b,1", "bad block name: '-a'"),
+        ("a,,1", "bad view name: ''"),
+        ("a b,c,1", "bad block name: 'a b'"),
+        ("\u00e9,b,1", "bad block name: '\u00e9'"),
+        ("a,b,1,2", "cannot parse OID from 'a,b,1,2'"),
+    ]
+
+    @pytest.mark.parametrize("text, expected", SPELLINGS)
+    def test_spellings_parse_as_before(self, text, expected):
+        if isinstance(expected, tuple):
+            oid = OID.parse(text)
+            assert (oid.block, oid.view, oid.version) == expected
+            assert oid == OID(*expected) and hash(oid) == hash(OID(*expected))
+        else:
+            with pytest.raises(InvalidOIDError) as caught:
+                OID.parse(text)
+            assert str(caught.value) == expected
+
+    def test_wire_parse_is_a_frozen_value(self):
+        oid = OID.parse("alu,GDSII,12")
+        assert type(oid) is OID
+        assert repr(oid) == "OID(block='alu', view='GDSII', version=12)"
+        with pytest.raises(AttributeError):
+            oid.block = "other"
+
 
 class TestLineage:
     def test_lineage_pair(self):
