@@ -19,7 +19,8 @@ plus the modern conveniences (lint, dashboards, journals)::
 the ``postEvent`` console command, designers ``query``/``stale``/
 ``pending``/``status`` over the same line protocol, and ``subscribe``
 turns a connection into a push channel that receives ``STALE <oid>`` /
-``FRESH <oid>`` the moment a change wave re-buckets an object.
+``FRESH <oid>`` for every object a write re-buckets, one group of lines
+per write, as that write ends.
 
 The path suffix alone picks a database's store: ``.sqlite`` /
 ``.sqlite3`` / ``.db`` is SQLite (persisted indexes, lazy block/view
@@ -687,8 +688,8 @@ def build_parser() -> argparse.ArgumentParser:
         "form for atomic multi-event posts); designers run query OID, "
         "stale, pending and status over the same line protocol; "
         "subscribe turns a connection into a push channel receiving "
-        "STALE <oid> / FRESH <oid> the moment a change wave re-buckets "
-        "an object.",
+        "STALE <oid> / FRESH <oid> for every object a write re-buckets, "
+        "as that write ends.",
     )
     serve.add_argument("database")
     serve.add_argument("blueprint")

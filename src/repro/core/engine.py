@@ -266,8 +266,8 @@ class BlueprintEngine:
         """Register *listener(oid, is_stale)* on stale-set transitions.
 
         Convenience passthrough to the database's incremental stale set:
-        the project server subscribes here so a wave re-bucketing an
-        object pushes a notification the moment the property flips.
+        the project server's bus listens here, so every object a wave
+        re-buckets joins the push group its write publishes.
         """
         self.db.on_stale_change(listener)
 
@@ -560,7 +560,9 @@ class BlueprintEngine:
             trace.append(_new_record((next(self._trace_seq), kind, oid, event, data)))
 
     def trace_text(self, last: int | None = None) -> str:
+        """The trace as text, one record a line: the newest *last*
+        records (none for 0), or every record kept."""
         records = list(self.trace)
         if last is not None:
-            records = records[-last:]
+            records = records[-last:] if last > 0 else []
         return "\n".join(str(record) for record in records)

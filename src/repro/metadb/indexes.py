@@ -108,9 +108,10 @@ class IndexRegistry:
         """Call *listener(oid, is_stale)* on every stale-set transition.
 
         Listeners fire the moment a property flip (or a version change)
-        re-buckets a latest version — mid-wave included — which is what
-        the project server's push notifications ride on.  Rollback paths
-        go through the same mutators, so listeners see those too.
+        re-buckets a latest version — mid-wave included; the project
+        server's bus collects them into one push group per write.
+        Rollback paths go through the same mutators, so listeners see
+        those too.
         """
         self._stale_listeners.append(listener)
 

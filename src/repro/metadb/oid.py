@@ -18,7 +18,7 @@ from repro.metadb.errors import InvalidOIDError
 
 #: Legal block / view names: a non-empty token without separators.
 #: Dots are excluded so the dotted display form stays unambiguous.
-_NAME_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_\-]*$")
+_NAME_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_\-]*")
 
 #: The wire form with both names valid and an ASCII version, matched and
 #: validated in one pass; every other spelling takes the general parser.
@@ -41,9 +41,9 @@ class OID:
     version: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.block, str) or not _NAME_RE.match(self.block):
+        if not isinstance(self.block, str) or not _NAME_RE.fullmatch(self.block):
             raise InvalidOIDError(f"bad block name: {self.block!r}")
-        if not isinstance(self.view, str) or not _NAME_RE.match(self.view):
+        if not isinstance(self.view, str) or not _NAME_RE.fullmatch(self.view):
             raise InvalidOIDError(f"bad view name: {self.view!r}")
         if not isinstance(self.version, int) or isinstance(self.version, bool):
             raise InvalidOIDError(f"version must be an int: {self.version!r}")

@@ -4,9 +4,8 @@ Both OIDs and Links in DAMOCLES are "annotated by property/value pairs"
 (paper, section 2).  Property values in the paper are simple scalars —
 strings like ``ok`` / ``bad`` / ``"4 errors"``, booleans spelled ``true`` /
 ``false``, and occasionally numbers.  :class:`PropertyBag` stores those
-scalars and keeps a bounded audit trail of every mutation, which the
-analysis layer uses to reconstruct "what changed when" without a separate
-journal.
+scalars and reports every mutation, as a :class:`PropertyChange`, to its
+caller and its observers.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ def value_to_text(value: Value) -> str:
 
 @dataclass(frozen=True)
 class PropertyChange:
-    """One entry in a property bag's audit trail."""
+    """One mutation of a property bag, numbered in the bag's order."""
 
     seq: int
     name: str
@@ -68,10 +67,9 @@ class PropertyChange:
 class PropertyBag:
     """A mutable mapping of property names to scalar values.
 
-    The bag records every mutation in :attr:`history` (bounded by
-    *history_limit* to keep long-running projects cheap) and can notify
-    observers — the BluePrint engine registers one to re-evaluate
-    continuous assignments when properties change out-of-band, and the
+    The bag numbers every mutation and can notify observers — the
+    BluePrint engine registers one to re-evaluate continuous
+    assignments when properties change out-of-band, and the
     meta-database installs one per object to maintain the property-value
     index and the incremental stale set (and, inside a transaction, the
     undo log).  The observer channel is therefore load-bearing: every
@@ -80,8 +78,6 @@ class PropertyBag:
     """
 
     values: dict[str, Value] = field(default_factory=dict)
-    history: list[PropertyChange] = field(default_factory=list)
-    history_limit: int = 1024
     _seq: int = 0
     _observers: list[Callable[[PropertyChange], None]] = field(
         default_factory=list
@@ -152,9 +148,6 @@ class PropertyBag:
     ) -> PropertyChange:
         self._seq += 1
         change = PropertyChange(self._seq, name, old, new)
-        self.history.append(change)
-        if len(self.history) > self.history_limit:
-            del self.history[: len(self.history) - self.history_limit]
         for callback in list(self._observers):
             callback(change)
         return change

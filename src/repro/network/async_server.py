@@ -408,9 +408,10 @@ class _LineConnection:
             writer = self._writer
             _shrink_sndbuf(writer)
 
-            def subscriber(line: str) -> None:
-                # Loop thread, mid-wave.  write() only buffers; the
-                # bound is the transport's unread backlog.
+            def subscriber(group: str) -> None:
+                # Loop thread, at the end of a write: its whole push
+                # group goes out in one write().  write() only buffers;
+                # the bound is the transport's unread backlog.
                 if self._overloaded:
                     raise BrokenPipeError("subscriber overloaded")
                 size = writer.transport.get_write_buffer_size()
@@ -421,7 +422,7 @@ class _LineConnection:
                     writer.write((OVERLOAD_LINE + "\n").encode("utf-8"))
                     writer.close()
                     raise BrokenPipeError("subscriber overloaded")
-                writer.write((line + "\n").encode("utf-8"))
+                writer.write((group + "\n").encode("utf-8"))
 
             self._subscriber = subscriber
             self._send_line(bus.handle_command(command, subscriber=subscriber))
@@ -539,8 +540,9 @@ class _FramedConnection:
 class _FramedSubscriber:
     """Push stream with credit-based backpressure and coalescing.
 
-    Live transitions stream as ``{"push": "STALE <oid>"}`` frames.  When
-    the client stops keeping up (send buffer over the high-water mark)
+    Live transitions stream as ``{"push": "STALE <oid>"}`` frames, one
+    per line of each write's push group.  When the client stops keeping
+    up (send buffer over the high-water mark, checked once per group)
     or explicitly sends ``PAUSE``, the stream degrades: a ``PAUSE``
     credit frame tells the client pushes are now coalesced, and further
     transitions collapse into a per-OID latest-state map.  Once the
@@ -560,24 +562,28 @@ class _FramedSubscriber:
         self._flusher: asyncio.Task | None = None
         self.coalesce_rounds = 0
 
-    # -- bus-facing (called synchronously from the wave, on the loop) ------
+    # -- bus-facing (called synchronously at the end of a write, on the loop)
 
-    def offer(self, line: str) -> None:
+    def offer(self, group: str) -> None:
+        """Take one write's push group: one push frame per line, or all
+        of it into the coalescing map once the client falls behind."""
         if self.closed:
             raise BrokenPipeError("subscriber connection closed")
         if self._coalescing or self._client_paused:
-            self._absorb(line)
+            self._absorb(group)
             return
         writer = self._conn._writer
         if writer.transport.get_write_buffer_size() > FRAME_SUBSCRIBER_HIGH_WATER:
             self._enter_coalescing()
-            self._absorb(line)
+            self._absorb(group)
             return
-        self._conn.send_frame({"push": line})
+        for line in group.split("\n"):
+            self._conn.send_frame({"push": line})
 
-    def _absorb(self, line: str) -> None:
-        verb, oid = parse_notification(line)
-        self._pending[oid.wire()] = verb
+    def _absorb(self, group: str) -> None:
+        for line in group.split("\n"):
+            verb, oid = parse_notification(line)
+            self._pending[oid.wire()] = verb
 
     def _enter_coalescing(self) -> None:
         self._coalescing = True

@@ -12,8 +12,11 @@ Beyond posting, the bus is the server's command back end:
   incremental stale set, kept current by a stale-change listener —
   O(result), no scan, safe to read from any thread;
 * ``subscribe`` registers a per-connection callback; the same listener
-  fans ``STALE <oid>`` / ``FRESH <oid>`` lines out to every subscriber
-  the moment a wave re-buckets an object;
+  collects each write's ``STALE <oid>`` / ``FRESH <oid>`` lines, in wave
+  order, into one *push group* that :meth:`EventBus.publish` fans out
+  once, when the write's apply ends (still inside the writer section,
+  so push order is wave order).  A transition outside any bus call — a
+  direct database mutation — publishes at once, as a group of one;
 * ``batch`` validates every target before posting anything (atomic
   accept/reject), then drains the queue once;
 * engine failures (strict-mode :class:`EngineError`, database errors)
@@ -62,7 +65,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, TypeVar
 
 from repro.core.engine import BlueprintEngine, EngineError
 from repro.core.events import EventMessage
@@ -91,7 +94,10 @@ from repro.network.protocol import (
 from repro.network.wal import WriteAheadLog, payload_event
 from repro.testing.faults import crash_point
 
-#: Subscriber signature: receives one formatted notification line.
+#: Subscriber signature: receives one push group per write — that
+#: write's ``STALE`` / ``FRESH`` lines in wave order, joined by ``\n``
+#: (exactly the line dialect's bytes, less the final newline).  A write
+#: that was denied or changed nothing makes no call.
 Subscriber = Callable[[str], None]
 
 #: Retry hint, in seconds, carried in a busy rejection.
@@ -100,6 +106,15 @@ RETRY_AFTER_S = 0.1
 #: Prefix of a policy refusal: a deny, or a lifecycle command that lost
 #: its race.  Nothing was applied, so a failed barrier does not change it.
 _POLICY_ERR = err_response("policy:")
+
+_T = TypeVar("_T")
+
+
+class _Outbox(threading.local):
+    """One thread's open push group: the lines collected so far by the
+    bus call running on it (None outside any bus call)."""
+
+    lines: list[str] | None = None
 
 
 @dataclass
@@ -145,6 +160,9 @@ class EventBus:
         self._stats_lock = threading.Lock()
         self._stale_wire: set[OID] = set(self.engine.db.stale_set())
         self._subscribers: list[Subscriber] = []
+        # Per thread, so a stale transition on a thread that is not in a
+        # bus call publishes at once instead of joining another's group.
+        self._outbox = _Outbox()
         self._closed = False
         self.engine.db.on_stale_change(self._on_stale_change)
 
@@ -183,17 +201,17 @@ class EventBus:
         user: str = "",
     ) -> EventMessage:
         event = self.engine.post(name, target, direction, arg, user)
-        self.engine.run()
+        self._grouped(self.engine.run)
         return event
 
     def post_message(self, event: EventMessage) -> EventMessage:
         stamped = self.engine.post_message(event)
-        self.engine.run()
+        self._grouped(self.engine.run)
         return stamped
 
     def drain(self) -> int:
         """Process everything pending; returns the number of waves run."""
-        return self.engine.run()
+        return self._grouped(self.engine.run)
 
     # -- stale mirror / subscriptions ----------------------------------------
 
@@ -203,7 +221,27 @@ class EventBus:
                 self._stale_wire.add(oid)
             else:
                 self._stale_wire.discard(oid)
-        self.publish(format_notification(oid, is_stale))
+        lines = self._outbox.lines
+        if lines is None:
+            self.publish(format_notification(oid, is_stale))
+        else:
+            lines.append(format_notification(oid, is_stale))
+
+    def _grouped(self, run: Callable[..., _T], *args: object) -> _T:
+        """Call ``run(*args)`` with the stale transitions it makes on this
+        thread collected into one push group, published once it returns.
+        Called inside another grouped call, it joins that call's group."""
+        outbox = self._outbox
+        if outbox.lines is not None:
+            return run(*args)
+        lines: list[str] = []
+        outbox.lines = lines
+        try:
+            return run(*args)
+        finally:
+            outbox.lines = None
+            if lines:
+                self.publish("\n".join(lines))
 
     def stale_snapshot(self) -> list[OID]:
         """A consistent copy of the stale set, answered from the mirror."""
@@ -211,7 +249,7 @@ class EventBus:
             return list(self._stale_wire)
 
     def subscribe(self, subscriber: Subscriber) -> None:
-        """Send every future ``STALE`` / ``FRESH`` line to *subscriber*."""
+        """Send every future push group to *subscriber*."""
         with self._stale_lock:
             if subscriber not in self._subscribers:
                 self._subscribers.append(subscriber)
@@ -226,8 +264,8 @@ class EventBus:
         with self._stale_lock:
             return len(self._subscribers)
 
-    def publish(self, line: str) -> None:
-        """Fan one notification line out to every subscriber.
+    def publish(self, group: str) -> None:
+        """Fan one push group out to every subscriber, one call each.
 
         A subscriber that raises (closed socket, slow client gone) is
         dropped; delivery to the others continues.
@@ -236,7 +274,7 @@ class EventBus:
             subscribers = list(self._subscribers)
         for subscriber in subscribers:
             try:
-                subscriber(line)
+                subscriber(group)
             except Exception:
                 self.unsubscribe(subscriber)
                 self._count("subscribers_dropped")
@@ -376,12 +414,14 @@ class EventBus:
         Returns ``(seq, response)``: the journal tail the write left (its
         own entry, or its deny tombstone; 0 when nothing was journaled)
         and the response, which the caller hands to
-        :meth:`ensure_durable` *after* leaving the writer section.
+        :meth:`ensure_durable` *after* leaving the writer section.  The
+        write's stale transitions are published as one push group before
+        this returns, so subscribers see writes in wave order.
         """
         seq = self.admit_durable(command)
         if isinstance(seq, str):
             return 0, seq
-        response = self.apply_admitted(command, seq)
+        response = self._grouped(self.apply_admitted, command, seq)
         return self.applied_seq, response
 
     def admit_durable(self, command: Command) -> int | str:
@@ -590,9 +630,11 @@ class EventBus:
         return ok_response(f"{self.policy.version} active")
 
     def _admit_post(self, event: EventMessage) -> str:
-        """Run one admitted event; shared by the wire path and recovery."""
+        """Run one admitted event; shared by the wire path and recovery,
+        both of which collect its push group."""
         try:
-            stamped = self.post_message(event)
+            stamped = self.engine.post_message(event)
+            self.engine.run()
         except (EngineError, MetaDBError) as exc:
             self._count("engine_errors")
             return err_response(f"engine: {exc}")
@@ -663,8 +705,9 @@ class EventBus:
         idempotent for governance (specs re-derive the same versions)
         and skipped for data.  Deny tombstones are pre-scanned and fed
         back as forced denials; they are never re-appended (recovery
-        must not grow the journal it is reading).  Returns the number of
-        entries applied.
+        must not grow the journal it is reading).  Each entry's stale
+        transitions are published as one push group, as a live write's
+        are.  Returns the number of entries applied.
         """
         entries = list(entries)
         tombstones: dict[int, dict[int, str]] = {}
@@ -683,7 +726,7 @@ class EventBus:
                     continue
             elif entry.seq <= db_watermark:
                 continue
-            self.apply_journal_entry(entry, forced=tombstones.get(entry.seq))
+            self._grouped(self.apply_journal_entry, entry, tombstones.get(entry.seq))
             applied += 1
         return applied
 

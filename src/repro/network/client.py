@@ -9,8 +9,8 @@ Beyond one-shot posts and queries, the client speaks the v2 dialect:
 ``stale()`` / ``pending()`` / ``status()`` / ``health()`` read the
 server's incremental state, ``post_batch()`` ships several events as one
 atomic FIFO window, and ``subscribe()`` opens a persistent connection
-that yields ``STALE`` / ``FRESH`` push notifications as the engine
-re-buckets objects.
+that yields ``STALE`` / ``FRESH`` push notifications for the objects
+each write re-buckets.
 
 Every command method builds a :class:`~repro.network.protocol.Command`
 and hands it to one connection core; the command table
@@ -753,10 +753,10 @@ class BlueprintClient:
         """Open a persistent connection receiving push notifications.
 
         The server acknowledges with ``OK subscribed`` and then pushes
-        ``STALE <oid>`` / ``FRESH <oid>`` the moment a wave re-buckets
-        an object — no polling.  On the frames transport the stream is
-        never closed for falling behind (the server coalesces instead —
-        see :class:`Subscription`).
+        ``STALE <oid>`` / ``FRESH <oid>`` for each object a write
+        re-buckets, in wave order, as the write ends — no polling.  On
+        the frames transport the stream is never closed for falling
+        behind (the server coalesces instead — see :class:`Subscription`).
 
         With ``auto_resync=True`` the subscription heals itself: on EOF
         (server bounce, slow-subscriber kick) it reconnects with

@@ -24,12 +24,15 @@ propose`` / ``policy approve`` / ``policy rollback`` are lock-exclusive
 writes on the same write path as events, while ``policy status`` and
 ``audit`` answer lock-free from the bus's governed policy.
 
-``subscribe`` flips a connection into push mode: the bus's stale-set
-listener writes ``STALE <oid>`` / ``FRESH <oid>`` lines straight to the
-subscribed socket the moment a wave re-buckets an object.  Notifications
-originate on whichever handler thread runs the wave, so each connection
-guards its socket with a write mutex to keep push lines and command
-responses from interleaving.
+``subscribe`` flips a connection into push mode.  Pushes leave at the
+end of each write: the bus hands every subscriber one group per write —
+that write's ``STALE <oid>`` / ``FRESH <oid>`` lines in wave order —
+from inside the writer section, so push order is wave order.  The
+connection queues one entry per group, and its pump thread sends
+whatever has queued in one socket write.  Groups originate on whichever
+handler thread runs the wave, so each connection guards its socket with
+a write mutex to keep push lines and command responses from
+interleaving.
 """
 
 from __future__ import annotations
@@ -140,7 +143,8 @@ class ReadWriteLock:
         return self._Guard(self.acquire_write, self.release_write)
 
 
-#: Per-subscriber notification buffer: a consumer further behind than
+#: Per-subscriber notification buffer, in writes (one push group each,
+#: so at worst this many writes' lines): a consumer further behind than
 #: this is dropped rather than allowed to block the publishing wave.
 #: The dropped subscriber gets :data:`~repro.network.protocol.OVERLOAD_LINE`
 #: as its final line before the close.
@@ -245,15 +249,29 @@ class _Handler(socketserver.StreamRequestHandler):
             self._notify_queue = queue.Queue(maxsize=SUBSCRIBER_QUEUE_DEPTH)
 
             def pump() -> None:
+                notify = self._notify_queue
                 while True:
-                    line = self._notify_queue.get()
-                    if line is None:
+                    # Everything queued so far leaves in one send.  None
+                    # (the connection finished) and the overload
+                    # diagnostic both end the stream.
+                    groups: list[str] = []
+                    group = notify.get()
+                    while group is not None:
+                        groups.append(group)
+                        if group == OVERLOAD_LINE:
+                            break
+                        try:
+                            group = notify.get_nowait()
+                        except queue.Empty:
+                            break
+                    if groups:
+                        try:
+                            self._send("\n".join(groups))
+                        except OSError:
+                            return
+                    if group is None:
                         return
-                    try:
-                        self._send(line)
-                    except OSError:
-                        return
-                    if line == OVERLOAD_LINE:
+                    if group == OVERLOAD_LINE:
                         # The diagnostic was the stream's last line; now
                         # the EOF the overflow used to deliver silently.
                         try:
@@ -271,11 +289,11 @@ class _Handler(socketserver.StreamRequestHandler):
             # so no notification can beat the ack onto the socket.
             self._notify_thread.start()
 
-            def subscriber(line: str) -> None:
+            def subscriber(group: str) -> None:
                 try:
-                    self._notify_queue.put_nowait(line)
+                    self._notify_queue.put_nowait(group)
                 except queue.Full:
-                    # Overflow: drop the oldest queued line to make room
+                    # Overflow: drop the oldest queued group to make room
                     # for a final ``ERR overloaded``, delivered in-order
                     # by the pump (which then closes the socket).  The
                     # re-raise unsubscribes us, so this fires once.

@@ -126,7 +126,7 @@ class TestTraceText:
     @pytest.mark.parametrize("last", [None, 0, 1, 3, 100])
     def test_last_slices_the_text(self, last):
         engine = run_scenario()
-        expected = EXPECTED if last is None else EXPECTED[-last:]
+        expected = EXPECTED if last is None else EXPECTED[len(EXPECTED) - last :]
         assert engine.trace_text(last=last) == "\n".join(expected)
 
 

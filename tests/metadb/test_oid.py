@@ -147,6 +147,16 @@ class TestParsing:
                 OID.parse(text)
             assert str(caught.value) == expected
 
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: OID("a\n", "b", 1), lambda: OID("a", "b\n", 1),
+         lambda: OID.parse("a\n.b.1")],
+        ids=["block", "view", "parse-dotted"],
+    )
+    def test_trailing_newline_in_a_name_is_refused(self, make):
+        with pytest.raises(InvalidOIDError, match="bad (block|view) name"):
+            make()
+
     def test_wire_parse_is_a_frozen_value(self):
         oid = OID.parse("alu,GDSII,12")
         assert type(oid) is OID

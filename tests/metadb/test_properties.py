@@ -111,11 +111,17 @@ class TestBagBasics:
 
 
 class TestAuditTrail:
-    def test_history_records_old_and_new(self):
+    def test_changes_record_old_and_new(self):
         bag = PropertyBag()
-        bag.set("x", "1")
-        bag.set("x", "2")
-        assert [(c.old, c.new) for c in bag.history] == [(None, "1"), ("1", "2")]
+        seen = []
+        bag.subscribe(seen.append)
+        returned = [bag.set("x", "1"), bag.set("x", "2"), bag.delete("x")]
+        assert [(c.name, c.old, c.new) for c in returned] == [
+            ("x", None, "1"),
+            ("x", "1", "2"),
+            ("x", "2", None),
+        ]
+        assert seen == returned
 
     def test_creation_and_deletion_flags(self):
         bag = PropertyBag()
@@ -124,20 +130,21 @@ class TestAuditTrail:
         deleted = bag.delete("x")
         assert deleted.is_deletion and not deleted.is_creation
 
-    def test_history_is_bounded(self):
-        bag = PropertyBag(history_limit=10)
-        for index in range(50):
-            bag.set("x", index)
-        assert len(bag.history) == 10
-        assert bag.history[-1].new == 49
-
     def test_sequence_monotonic(self):
         bag = PropertyBag()
-        for index in range(5):
+        seen = []
+        bag.subscribe(seen.append)
+        returned = [bag.set("x", index) for index in range(5)]
+        returned.append(bag.delete("x"))
+        assert [c.seq for c in returned] == [1, 2, 3, 4, 5, 6]
+        assert [c.seq for c in seen] == [1, 2, 3, 4, 5, 6]
+
+    def test_no_trail_is_kept(self):
+        bag = PropertyBag()
+        for index in range(50):
             bag.set("x", index)
-        seqs = [c.seq for c in bag.history]
-        assert seqs == sorted(seqs)
-        assert len(set(seqs)) == len(seqs)
+        assert not hasattr(bag, "history")
+        assert bag.as_dict() == {"x": 49}
 
 
 class TestObservation:
